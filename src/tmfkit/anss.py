@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from importlib import resources
 from math import gcd, lcm
 
+from .exactalg import format_terms
+
 
 class PresentationError(ValueError):
     """Malformed presentation text; carries line and column when known."""
@@ -323,10 +325,6 @@ class E2Presentation:
         filt = sum(e * g.filt for e, g in zip(mono, self.generators))
         return stem, filt
 
-    def _lex_less(self, a, b):
-        """a < b in the lexicographic order induced by generator listing."""
-        return a < b  # tuples compare lexicographically with listed order
-
     def _validate(self):
         for g in self.generators:
             if g.stem <= 0:
@@ -339,7 +337,8 @@ class E2Presentation:
                         "rule %r is not bidegree-homogeneous: %r vs %r"
                         % (rule.text, lhs_deg, self.bidegree(mono))
                     )
-                if not rule.is_torsion and not self._lex_less(mono, rule.lhs):
+                # exponent tuples compare lexicographically in generator-listing order
+                if not rule.is_torsion and mono >= rule.lhs:
                     raise PresentationError(
                         "rule %r does not decrease the monomial order" % rule.text
                     )
@@ -381,30 +380,8 @@ class E2Presentation:
 
     def format_class(self, cls_or_terms):
         terms = cls_or_terms.term_dict() if isinstance(cls_or_terms, E2Class) else cls_or_terms
-        if not terms:
-            return "0"
-        pieces = []
-        for mono in sorted(terms, reverse=True):
-            c = terms[mono]
-            factors = []
-            for e, g in zip(mono, self.generators):
-                if e == 1:
-                    factors.append(g.name)
-                elif e:
-                    factors.append("%s^%d" % (g.name, e))
-            body = " ".join(factors) if factors else "1"
-            if c == 1 and factors:
-                pieces.append(body)
-            elif c == -1 and factors:
-                pieces.append("-" + body)
-            elif factors:
-                pieces.append("%d %s" % (c, body))
-            else:
-                pieces.append(str(c))
-        out = pieces[0]
-        for body in pieces[1:]:
-            out += " - " + body[1:] if body.startswith("-") else " + " + body
-        return out
+        names = [g.name for g in self.generators]
+        return format_terms(names, ((m, terms[m]) for m in sorted(terms, reverse=True)), " ")
 
 
 @dataclass(frozen=True)

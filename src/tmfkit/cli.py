@@ -18,6 +18,11 @@ EXIT_USAGE = 1
 EXIT_COMPUTE = 2
 EXIT_NEGATIVE = 3
 
+DEFAULT_PRECISION = 50
+# largest fgl-pseries degree: p-series on the a1a3 curve at degree 30 takes
+# several seconds, and both routes grow quickly beyond it
+FGL_MAX_DEGREE = 30
+
 
 class UsageError(Exception):
     pass
@@ -321,7 +326,11 @@ def cmd_fgl_pseries(args):
     p = args.p
     if p not in (2, 3):
         raise UsageError("p must be 2 or 3")
-    degree = min(args.precision, 30)
+    degree = args.precision
+    if degree > FGL_MAX_DEGREE:
+        raise UsageError(
+            "fgl-pseries degree is capped at %d, got --precision %d" % (FGL_MAX_DEGREE, degree)
+        )
     curve = elliptic.curve_a2_a4() if p == 3 else elliptic.curve_a1_a3()
     fgl = elliptic.formal_group_law(curve, degree)
     series = elliptic.p_series(fgl, p, degree)
@@ -397,7 +406,8 @@ def build_parser():
     # subparser from clobbering a value parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=argparse.SUPPRESS, metavar="N",
-                        help="series precision / truncation degree (default 50)")
+                        help="series precision / truncation degree (default %d; fgl-pseries: "
+                             "%d, also its cap)" % (DEFAULT_PRECISION, FGL_MAX_DEGREE))
     common.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
     common.add_argument("--presentation", metavar="FILE", default=argparse.SUPPRESS,
                         help="override the built-in E2 presentation file")
@@ -445,7 +455,7 @@ def build_parser():
     p = sub.add_parser("fgl-pseries", parents=[common],
                        help="p-series of the formal group law of the p-typical special curve")
     p.add_argument("p", type=int)
-    p.set_defaults(func=cmd_fgl_pseries)
+    p.set_defaults(func=cmd_fgl_pseries, default_precision=FGL_MAX_DEGREE)
 
     p = sub.add_parser("anss-survivors", parents=[common],
                        help="minimal surviving multiples of Delta powers")
@@ -460,7 +470,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.precision = getattr(args, "precision", 50)
+        # a subcommand may declare its own default precision (fgl-pseries: its cap)
+        default = getattr(args, "default_precision", DEFAULT_PRECISION)
+        args.precision = getattr(args, "precision", default)
         args.format = getattr(args, "format", "text")
         args.presentation = getattr(args, "presentation", None)
         if not getattr(args, "command", None):

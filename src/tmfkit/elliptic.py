@@ -20,6 +20,7 @@ from .exactalg import (
     PolynomialRing,
     PrimeField,
     TruncSeries,
+    power,
 )
 
 
@@ -291,17 +292,7 @@ class MultiSeries:
         return MultiSeries(ring, self.nvars, out, self.prec, _clean=True)
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be nonnegative integers")
-        result = MultiSeries.one(self.ring, self.nvars, self.prec)
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return power(self, n, MultiSeries.one(self.ring, self.nvars, self.prec))
 
     def inverse(self):
         """Inverse of a series with unit constant term, by Newton iteration."""
@@ -548,14 +539,14 @@ class FormalGroupLaw:
         spow = {0: MultiSeries.one(ring, nvars, prec)}
         tpow = {0: MultiSeries.one(ring, nvars, prec)}
 
-        def power(cache, base, n):
+        def cached_power(cache, base, n):
             if n not in cache:
-                cache[n] = power(cache, base, n - 1) * base
+                cache[n] = cached_power(cache, base, n - 1) * base
             return cache[n]
 
         acc = MultiSeries.zero(ring, nvars, prec)
         for (i, j), c in sorted(F.terms.items()):
-            acc = acc + (power(spow, s, i) * power(tpow, t, j)).scale(c)
+            acc = acc + (cached_power(spow, s, i) * cached_power(tpow, t, j)).scale(c)
         return acc
 
     def verify_associative(self, degree=None):
@@ -676,26 +667,11 @@ def hasse_v1(curve, p):
     if not (ring.is_zero(curve.a1) and ring.is_zero(curve.a3)):
         raise ValueError("curve is not of the form y^2 = cubic(x)")
     a2, a4, a6 = (_mod_p(c, p) for c in (curve.a2, curve.a4, curve.a6))
+    gf = PrimeField(p)
     if isinstance(ring, PolynomialRing):
-        gf_ring = PolynomialRing(ring.variables, PrimeField(p))
-        one, zero = gf_ring.one, gf_ring.zero
-        combine = lambda acc, a, b: acc + a * b
-    else:
-        one, zero = 1, 0
-        combine = lambda acc, a, b: (acc + a * b) % p
-    cubic = [a6, a4, a2, one]  # x^0 .. x^3
-
-    def poly_mul(f, g):
-        out = [zero] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            for j, b in enumerate(g):
-                out[i + j] = combine(out[i + j], a, b)
-        return out
-
-    power = [one]
-    for _ in range((p - 1) // 2):
-        power = poly_mul(power, cubic)
-    return power[p - 1] if p - 1 < len(power) else zero
+        gf = PolynomialRing(ring.variables, gf)
+    cubic = TruncSeries(gf, [a6, a4, a2, gf.one])  # exact polynomial, x^0 .. x^3
+    return (cubic ** ((p - 1) // 2)).known(p - 1)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,87 @@ class PrecisionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# shared kernels: every series and polynomial type runs its dense product,
+# exact division, powers and display through these.  Coefficients only need
+# native +, -, * and truthiness; a domain that reduces (GF(p)) canonicalizes
+# the results when the caller builds its value from them.
+
+
+def mul_coeffs(a, b, n, zero):
+    """The first n coefficients of the product of two dense coefficient lists
+    (low order first); zero coefficients are skipped."""
+    out = [zero] * n
+    for i, x in enumerate(a[:n]):
+        if not x:
+            continue
+        for k, y in zip(range(i, n), b):
+            if y:
+                out[k] += x * y
+    return out
+
+
+def div_coeffs(num, den, n, div):
+    """The first n coefficients of q with q*den == num, by triangular elimination.
+
+    ``num`` holds at least n coefficients and ``den[0]`` is nonzero; ``div``
+    is the domain's checked division of each accumulator by ``den[0]``.
+    """
+    out = []
+    for m in range(n):
+        acc = num[m]
+        for k in range(max(0, m - len(den) + 1), m):
+            d = den[m - k]
+            if d:
+                acc = acc - out[k] * d
+        out.append(div(acc))
+    return out
+
+
+def power(x, n, one):
+    """x**n by square-and-multiply, starting from x itself (so a truncated x
+    keeps its own precision bookkeeping); ``one`` is the value for n == 0."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("powers must be nonnegative integers")
+    if n == 0:
+        return one
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if not n:
+            return result
+        x = x * x
+
+
+def format_terms(names, terms, sep="*"):
+    """Signed sum of terms, e.g. ``x^2*y - 3*y + 1``.
+
+    ``terms`` yields (exponents, coefficient) pairs in display order, one
+    exponent per name.  Unit coefficients are elided, a term without
+    variables prints its coefficient alone, and an empty sum prints as 0.
+    """
+    pieces = []
+    for exps, c in terms:
+        mono = sep.join(v if e == 1 else "%s^%d" % (v, e) for v, e in zip(names, exps) if e)
+        if not mono:
+            body = str(c)
+        elif c == 1:
+            body = mono
+        elif c == -1:
+            body = "-" + mono
+        else:
+            body = "%s%s%s" % (c, sep, mono)
+        pieces.append(body)
+    if not pieces:
+        return "0"
+    out = pieces[0]
+    for body in pieces[1:]:
+        out += " - " + body[1:] if body.startswith("-") else " + " + body
+    return out
+
+
+# ---------------------------------------------------------------------------
 # scalar coefficient domains
 
 
@@ -346,6 +427,9 @@ class MPoly:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def as_constant(self):
         """The scalar value if this polynomial is constant, else None."""
         if not self.terms:
@@ -430,17 +514,7 @@ class MPoly:
         return MPoly(self.ring, out, _clean=True)
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        result = self.ring.one
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return power(self, n, self.ring.one)
 
     def exact_scalar_div(self, c):
         base = self.ring.base
@@ -511,34 +585,7 @@ class MPoly:
         return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-e for e in t[0])))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        names = self.ring.variables
-        pieces = []
-        for exp, c in self.sorted_terms():
-            factors = []
-            for v, e in zip(names, exp):
-                if e == 1:
-                    factors.append(v)
-                elif e:
-                    factors.append("%s^%d" % (v, e))
-            mono = "*".join(factors)
-            if not mono:
-                body = str(c)
-            elif c == 1:
-                body = mono
-            elif c == -1:
-                body = "-" + mono
-            else:
-                body = "%s*%s" % (c, mono)
-            pieces.append(body)
-        out = pieces[0]
-        for body in pieces[1:]:
-            if body.startswith("-"):
-                out += " - " + body[1:]
-            else:
-                out += " + " + body
-        return out
+        return format_terms(self.ring.variables, self.sorted_terms())
 
     def __repr__(self):
         return "MPoly(%s)" % self
@@ -619,10 +666,6 @@ class TruncSeries:
     def is_zero(self):
         return not self.coeffs
 
-    def _vbound(self):
-        """Valuation for precision bookkeeping; None means +infinity (exact zero)."""
-        return self.valuation()
-
     def truncate(self, prec):
         return TruncSeries(self.ring, self.coeffs, _min_prec(self.prec, prec))
 
@@ -681,17 +724,7 @@ class TruncSeries:
         return TruncSeries(self.ring, [self.ring.zero] * k + self.coeffs, prec)
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series powers must be nonnegative integers")
-        result = TruncSeries.one(self.ring, self.prec if n else None)
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return power(self, n, TruncSeries.one(self.ring))
 
     def inverse(self):
         return series_inverse(self)
@@ -709,12 +742,8 @@ class TruncSeries:
             prec = max(len(self.coeffs), 1)
         ring = self.ring
         d0 = den.coeffs[0]
-        out = []
-        for n in range(prec):
-            acc = self.known(n)
-            for k in range(max(0, n - len(den.coeffs) + 1), n):
-                acc = ring.sub(acc, ring.mul(out[k], den.known(n - k)))
-            out.append(ring.exact_div(acc, d0))
+        num = self.coeffs + [ring.zero] * prec
+        out = div_coeffs(num, den.coeffs, prec, lambda acc: ring.exact_div(acc, d0))
         return TruncSeries(ring, out, prec)
 
     def compose(self, g):
@@ -817,29 +846,17 @@ def series_mul(f, g):
     """Truncated product; the result precision is the minimum justified one."""
     if f.ring != g.ring:
         raise DomainMismatchError("mixed series domains: %s vs %s" % (f.ring.name, g.ring.name))
-    ring = f.ring
-    if f.prec is None and g.prec is None:
-        prec = None
-        n = len(f.coeffs) + len(g.coeffs)
-        n = max(n - 1, 0) if n else 0
-    else:
-        pf = f.prec if f.prec is not None else 10 ** 9
-        pg = g.prec if g.prec is not None else 10 ** 9
-        prec = min(pf + g._vbound(), pg + f._vbound())
-        prec = min(prec, 10 ** 9)
-        n = prec
-    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-    fa, ga = f.coeffs, g.coeffs
-    out = [ring.zero] * n
-    for i, ci in enumerate(fa):
-        if is_zero(ci):
-            continue
-        top = min(len(ga), n - i)
-        for j in range(top):
-            cj = ga[j]
-            if not is_zero(cj):
-                out[i + j] = add(out[i + j], mul(ci, cj))
-    return TruncSeries(ring, out, prec)
+    # each factor's precision shifts by the other's valuation; None (an exact
+    # polynomial, or the infinite valuation of an exact zero) absorbs the sum
+    vf, vg = f.valuation(), g.valuation()
+    prec = _min_prec(
+        None if f.prec is None or vg is None else f.prec + vg,
+        None if g.prec is None or vf is None else g.prec + vf,
+    )
+    n = max(len(f.coeffs) + len(g.coeffs) - 1, 0)
+    if prec is not None:
+        n = min(n, prec)
+    return TruncSeries(f.ring, mul_coeffs(f.coeffs, g.coeffs, n, f.ring.zero), prec)
 
 
 def series_inverse(f):
@@ -849,13 +866,9 @@ def series_inverse(f):
         raise ExactnessError("series inverse requires a unit constant term")
     c0 = ring.invert(f.coeffs[0])
     prec = f.prec if f.prec is not None else max(len(f.coeffs), 1)
-    out = [c0]
-    for n in range(1, prec):
-        acc = ring.zero
-        for k in range(max(0, n - len(f.coeffs) + 1), n):
-            acc = ring.add(acc, ring.mul(out[k], f.known(n - k)))
-        out.append(ring.neg(ring.mul(c0, acc)))
-    return TruncSeries(ring, out, f.prec if f.prec is not None else prec)
+    num = [ring.one] + [ring.zero] * (prec - 1)
+    out = div_coeffs(num, f.coeffs, prec, lambda acc: ring.mul(acc, c0))
+    return TruncSeries(ring, out, prec)
 
 
 def series_reversion(f):

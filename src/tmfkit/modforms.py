@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import qseries
+from .exactalg import format_terms, power
 from .qseries import QExpansion
 
 
@@ -133,17 +134,7 @@ class MFPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be nonnegative integers")
-        result = MFPolynomial.one()
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return power(self, n, MFPolynomial.one())
 
     # -- comparison / display
 
@@ -160,31 +151,7 @@ class MFPolynomial:
         return sorted(self.terms.items(), key=lambda t: (-t[0][0], -t[0][1], -t[0][2]))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for (i, j, k), c in self.sorted_terms():
-            factors = []
-            if i:
-                factors.append("c4" if i == 1 else "c4^%d" % i)
-            if j:
-                factors.append("c6" if j == 1 else "c6^%d" % j)
-            if k:
-                factors.append("Delta" if k == 1 else "Delta^%d" % k)
-            mono = "*".join(factors)
-            if not mono:
-                body = str(c)
-            elif c == 1:
-                body = mono
-            elif c == -1:
-                body = "-" + mono
-            else:
-                body = "%d*%s" % (c, mono)
-            pieces.append(body)
-        out = pieces[0]
-        for body in pieces[1:]:
-            out += " - " + body[1:] if body.startswith("-") else " + " + body
-        return out
+        return format_terms(("c4", "c6", "Delta"), self.sorted_terms())
 
     def __repr__(self):
         return "MFPolynomial(%s)" % self

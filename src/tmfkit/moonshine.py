@@ -8,7 +8,7 @@ polynomial in j whose expansion is q^{-n} + O(q).
 from dataclasses import dataclass, field
 
 from . import modforms, qseries
-from .exactalg import PrecisionError
+from .exactalg import PrecisionError, format_terms
 from .modforms import MFPolynomial
 from .qseries import QExpansion
 
@@ -56,26 +56,8 @@ class JPolynomial:
         return hash(tuple(self.coeffs))
 
     def __str__(self):
-        pieces = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0 and self.degree > 0:
-                continue
-            if k == 0:
-                body = str(c)
-            else:
-                var = "j" if k == 1 else "j^%d" % k
-                if c == 1:
-                    body = var
-                elif c == -1:
-                    body = "-" + var
-                else:
-                    body = "%d*%s" % (c, var)
-            pieces.append(body)
-        out = pieces[0]
-        for body in pieces[1:]:
-            out += " - " + body[1:] if body.startswith("-") else " + " + body
-        return out
+        terms = (((k,), self.coeffs[k]) for k in range(self.degree, -1, -1) if self.coeffs[k])
+        return format_terms(("j",), terms)
 
     def __repr__(self):
         return "JPolynomial(%s)" % self

@@ -6,7 +6,16 @@ Delta = (c4^3 - c6^2)/1728 = q*prod(1-q^n)^24, j = c4^3/Delta.
 
 from fractions import Fraction
 
-from .exactalg import ExactnessError, PrecisionError
+from .exactalg import (
+    QQ,
+    ZZ,
+    ExactnessError,
+    PrecisionError,
+    div_coeffs,
+    format_terms,
+    mul_coeffs,
+    power,
+)
 
 
 class QExpansion:
@@ -113,40 +122,15 @@ class QExpansion:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return QExpansion(self.val, [c * other for c in self.coeffs], self.prec)
-        if self.is_zero() or other.is_zero():
-            # a zero factor is known exactly through its precision window
-            prec = min(self.prec + other.val, other.prec + self.val)
-            return QExpansion.zero(prec)
+        # a zero factor has val == prec, so the product is zero through its window
         prec = min(self.prec + other.val, other.prec + self.val)
         val = self.val + other.val
-        n = prec - val
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            top = min(len(other.coeffs), n - i)
-            for j in range(top):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return QExpansion(val, out, prec)
+        return QExpansion(val, mul_coeffs(self.coeffs, other.coeffs, prec - val, 0), prec)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("q-expansion powers must be nonnegative integers")
-        if n == 0:
-            return QExpansion.one(self.prec)
-        result = None
-        square = self
-        while n:
-            if n & 1:
-                result = square if result is None else result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return power(self, n, QExpansion.one(self.prec))
 
     def exact_scalar_div(self, d):
         """Divide by an integer, verifying every coefficient divides exactly."""
@@ -170,23 +154,15 @@ class QExpansion:
         n = prec - val
         if n <= 0:
             raise PrecisionError("insufficient precision for q-expansion division")
-        d = den.coeffs
-        d0 = d[0]
-        out = []
-        for m in range(n):
-            acc = self.coeff(val + den.val + m)
-            for k in range(max(0, m - len(d) + 1), m):
-                acc -= out[k] * d[m - k]
+        d0 = den.coeffs[0]
+
+        def div(acc):
             if isinstance(acc, int) and isinstance(d0, int):
-                q, r = divmod(acc, d0)
-                if r:
-                    raise ExactnessError(
-                        "inexact division at q^%d: %d by %d" % (val + m, acc, d0)
-                    )
-                out.append(q)
-            else:
-                out.append(Fraction(acc) / d0)
-        return QExpansion(val, out, prec)
+                return ZZ.exact_div(acc, d0)
+            return QQ.exact_div(acc, d0)
+
+        # numerator coefficient m sits at q^(val + den.val + m) = q^(self.val + m)
+        return QExpansion(val, div_coeffs(self.coeffs + [0] * n, den.coeffs, n, div), prec)
 
     def inverse(self, prec=None):
         one = QExpansion.one(self.prec if prec is None else prec + self.val)
@@ -221,28 +197,11 @@ class QExpansion:
         return hash((self.val, tuple(self.coeffs), self.prec))
 
     def __str__(self):
-        pieces = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            e = self.val + i
-            if e == 0:
-                body = str(c)
-            else:
-                var = "q" if e == 1 else "q^%d" % e
-                if c == 1:
-                    body = var
-                elif c == -1:
-                    body = "-" + var
-                else:
-                    body = "%s*%s" % (c, var)
-            pieces.append(body)
-        if not pieces:
-            return "O(q^%d)" % self.prec
-        out = pieces[0]
-        for body in pieces[1:]:
-            out += " - " + body[1:] if body.startswith("-") else " + " + body
-        return out + " + O(q^%d)" % self.prec
+        tail = "O(q^%d)" % self.prec
+        if not self.coeffs:
+            return tail
+        terms = (((self.val + i,), c) for i, c in enumerate(self.coeffs) if c)
+        return format_terms(("q",), terms) + " + " + tail
 
     def __repr__(self):
         return "QExpansion(%s)" % self

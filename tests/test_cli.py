@@ -137,6 +137,34 @@ def test_fgl_pseries_command(capsys):
     assert MPoly.from_dict(payload["result"]["coefficients"][1]) == curve.ring.const(2)
 
 
+def test_fgl_pseries_degree_cap(capsys):
+    for argv in (
+        ["--format", "json", "fgl-pseries", "2", "--precision", "40"],
+        ["--precision", "31", "fgl-pseries", "3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "capped at 30" in err
+
+
+def test_fgl_pseries_default_degree_is_the_cap(capsys):
+    code, out, _ = run(capsys, "--format", "json", "fgl-pseries", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["inputs"]["degree"] == payload["result"]["degree"] == 30
+    assert len(payload["result"]["coefficients"]) == 31
+
+
+def test_tmf_member_leading_minus_after_double_dash(capsys):
+    code, out, _ = run(capsys, "--format", "json", "tmf-member", "--", "-24*Delta")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["inputs"]["expression"] == "-24*Delta"
+    assert payload["result"]["member"] is True
+    # without "--" argparse reads the expression as an unknown option
+    assert run(capsys, "tmf-member", "-24*Delta")[0] == 1
+
+
 def test_anss_survivors_command(capsys):
     code, out, _ = run(capsys, "--format", "json", "anss-survivors", "p2", "8")
     assert code == 0

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tmfkit.exactalg import (
     ZZ,
@@ -11,6 +14,9 @@ from tmfkit.exactalg import (
     PrecisionError,
     PrimeField,
     TruncSeries,
+    div_coeffs,
+    mul_coeffs,
+    power,
     series_inverse,
     series_mul,
     series_reversion,
@@ -89,6 +95,12 @@ def test_series_mul_precision_law():
     g = TruncSeries(ZZ, [1, 1], 7)         # valuation 0, precision 7
     assert series_mul(f, g).prec == 5      # min(5 + 0, 7 + 2)
     assert (f + g).prec == 5
+    # an exact zero has infinite valuation, so its products are exact zeros
+    h = TruncSeries(ZZ, [1, 2, 3], 5)
+    assert h * 0 == TruncSeries.zero(ZZ)
+    assert series_mul(TruncSeries.zero(ZZ), h) == TruncSeries.zero(ZZ)
+    # a zero known through z^3 only: min(5 + 4, 4 + 0)
+    assert series_mul(h, TruncSeries.zero(ZZ, 4)) == TruncSeries.zero(ZZ, 4)
 
 
 def test_series_inverse():
@@ -179,3 +191,115 @@ def test_exact_division_checks():
     assert ring.exact_div(6 * x, ring.const(3)) == 2 * x
     with pytest.raises(ExactnessError):
         ring.exact_div(x, ring.const(2))
+
+
+# ---------------------------------------------------------------------------
+# the shared kernels against plain references, over ZZ, QQ, GF(5) and Z[x, y]
+
+ZXY = PolynomialRing(("x", "y"))
+KERNEL_DOMAINS = {
+    "ZZ": (ZZ, st.integers(-50, 50)),
+    "QQ": (QQ, st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))),
+    "GF(5)": (PrimeField(5), st.integers(0, 4)),
+    "Z[x,y]": (
+        ZXY,
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-4, 4), max_size=3
+        ).map(ZXY.from_terms),
+    ),
+}
+kernel_settings = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+def ref_mul(ring, a, b, n):
+    """Plain double sum through the domain's own operations."""
+    out = [ring.zero] * n
+    for i in range(len(a)):
+        for j in range(len(b)):
+            if i + j < n:
+                out[i + j] = ring.add(out[i + j], ring.mul(a[i], b[j]))
+    return out
+
+
+def ref_div(ring, num, den, n):
+    """q_m = (num_m - sum_{k<m} q_k den_{m-k}) / den_0, summing every k."""
+    num = num + [ring.zero] * n
+    den = den + [ring.zero] * n
+    out = []
+    for m in range(n):
+        acc = num[m]
+        for k in range(m):
+            acc = ring.sub(acc, ring.mul(out[k], den[m - k]))
+        out.append(ring.exact_div(acc, den[0]))
+    return out
+
+
+def canon(ring, coeffs):
+    return [ring.canon(c) for c in coeffs]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DOMAINS))
+def test_mul_coeffs_matches_double_sum(name):
+    ring, elem = KERNEL_DOMAINS[name]
+
+    @kernel_settings
+    @given(st.lists(elem, max_size=8), st.lists(elem, max_size=8), st.integers(0, 12))
+    def check(a, b, n):
+        assert canon(ring, mul_coeffs(a, b, n, ring.zero)) == ref_mul(ring, a, b, n)
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DOMAINS))
+def test_div_coeffs_matches_reference_and_undoes_mul(name):
+    ring, elem = KERNEL_DOMAINS[name]
+    # Z[x, y] divides only by constants, so its leading divisor is a scalar
+    lead = st.integers(-4, 4).map(ring.coerce) if name == "Z[x,y]" else elem
+
+    @kernel_settings
+    @given(st.lists(elem, max_size=8), lead, st.lists(elem, max_size=7), st.integers(0, 10))
+    def check(a, d0, tail, n):
+        assume(not ring.is_zero(d0))
+        den = [d0] + tail
+        num = canon(ring, mul_coeffs(a, den, n, ring.zero))
+        div = lambda acc: ring.exact_div(acc, d0)
+        got = div_coeffs(num, den, n, div)
+        assert got == ref_div(ring, num, den, n)
+        assert canon(ring, got) == canon(ring, (a + [ring.zero] * n)[:n])
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DOMAINS))
+def test_power_matches_repeated_multiplication(name):
+    ring, elem = KERNEL_DOMAINS[name]
+
+    @kernel_settings
+    @given(st.lists(elem, max_size=6), st.integers(0, 7), st.integers(0, 4))
+    def check(coeffs, prec, n):
+        f = TruncSeries(ring, coeffs, prec)
+        want = TruncSeries.one(ring)
+        for _ in range(n):
+            want = want * f
+        assert power(f, n, TruncSeries.one(ring)) == want == f ** n
+        for c in coeffs[:1]:  # and on bare coefficients
+            want_c = ring.one
+            for _ in range(n):
+                want_c = ring.mul(want_c, c)
+            assert ring.canon(power(c, n, ring.one)) == want_c
+
+    check()
+
+
+@kernel_settings
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=6), st.integers(2, 9))
+def test_div_coeffs_inexact_integer_division_raises(num, d0):
+    assume(num[0] % d0)
+    with pytest.raises(ExactnessError):
+        div_coeffs(num, [d0, 1], len(num), lambda acc: ZZ.exact_div(acc, d0))
+
+
+def test_power_rejects_negative_and_non_integer_exponents():
+    for n in (-1, 2.0):
+        with pytest.raises(ValueError):
+            power(3, n, 1)
