@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from importlib import resources
 from math import gcd, lcm
 
-from .exactalg import format_terms
+from .exactalg import InternalError, format_terms
 
 
 class PresentationError(ValueError):
@@ -425,7 +425,7 @@ def normal_form(pres, expr, rng=None):
     while work:
         guard += 1
         if guard > 100000:
-            raise ArithmeticError("rewriting failed to terminate (bug)")
+            raise InternalError("rewriting failed to terminate (bug)")
         if rng is None:
             mono = next(iter(work))
         else:

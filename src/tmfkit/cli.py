@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 computation error (precision,
-non-integrality, bad presentation), 3 negative mathematical verdict
-(non-member, failed identity check).
+Exit codes: 0 success, 1 usage error (including a size above a documented
+cap), 2 computation error (precision, non-integrality, bad presentation),
+3 negative mathematical verdict (non-member, failed identity check), 4
+internal error (two independent routes disagree or an internal invariant
+broke: a bug in tmfkit, not in the input).
 """
 
 import argparse
@@ -10,18 +12,23 @@ import json
 import sys
 
 from . import anss, elliptic, modforms, moonshine, qseries
-from .exactalg import ExactnessError, PrecisionError
+from .exactalg import ExactnessError, InternalError, PrecisionError
 from .modforms import C4, C6, DELTA, DecompositionError, HomogeneityError, MFPolynomial
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COMPUTE = 2
 EXIT_NEGATIVE = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_PRECISION = 50
 # largest fgl-pseries degree: p-series on the a1a3 curve at degree 30 takes
 # several seconds, and both routes grow quickly beyond it
 FGL_MAX_DEGREE = 30
+# largest genfun-check N: N = 250 takes about 5 s on a 2-vCPU VM, and the
+# cost (N products and an O(N^3) elimination, both on growing integers)
+# rises faster than N^3 beyond it
+GENFUN_MAX_N = 250
 
 
 class UsageError(Exception):
@@ -272,6 +279,8 @@ def cmd_prize(args):
 
 
 def cmd_genfun_check(args):
+    if args.N > GENFUN_MAX_N:
+        raise UsageError("genfun-check N is capped at %d, got %d" % (GENFUN_MAX_N, args.N))
     report = moonshine.genfun_check(args.N)
     if args.format == "text":
         text_lines(
@@ -442,8 +451,9 @@ def build_parser():
     p.set_defaults(func=cmd_prize)
 
     p = sub.add_parser("genfun-check", parents=[common],
-                       help="cross-check c6/c4 = -q(dj/dq)/j against the j_n constant terms")
-    p.add_argument("N", type=int)
+                       help="cross-check c6/c4 = -q(dj/dq)/j against the j_n constant terms "
+                            "(N at most %d)" % GENFUN_MAX_N)
+    p.add_argument("N", type=int, help="largest n checked, at most %d" % GENFUN_MAX_N)
     p.set_defaults(func=cmd_genfun_check)
 
     p = sub.add_parser("curve-invariants", parents=[common],
@@ -484,6 +494,9 @@ def main(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except InternalError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
     except (PrecisionError, ExactnessError, DecompositionError, HomogeneityError,
             anss.PresentationError, ValueError, ArithmeticError) as exc:
         print("computation error: %s" % exc, file=sys.stderr)

@@ -16,6 +16,7 @@ from .exactalg import (
     DomainMismatchError,
     ExactnessError,
     IntegerRing,
+    InternalError,
     MPoly,
     PolynomialRing,
     PrimeField,
@@ -24,7 +25,7 @@ from .exactalg import (
 )
 
 
-class RouteDisagreementError(ArithmeticError):
+class RouteDisagreementError(InternalError):
     """The two independent p-series routes produced different series."""
 
 
@@ -121,9 +122,9 @@ class CurveInvariants:
 
     def __post_init__(self):
         if self.c4 ** 3 - self.c6 ** 2 != 1728 * self.delta:
-            raise ArithmeticError("curve quantities violate c4^3 - c6^2 = 1728*delta")
+            raise InternalError("curve quantities violate c4^3 - c6^2 = 1728*delta")
         if 4 * self.b8 != self.b2 * self.b6 - self.b4 ** 2:
-            raise ArithmeticError("curve quantities violate 4*b8 = b2*b6 - b4^2")
+            raise InternalError("curve quantities violate 4*b8 = b2*b6 - b4^2")
 
     def to_dict(self):
         return {k: _jsonable(getattr(self, k)) for k in ("b2", "b4", "b6", "b8", "c4", "c6", "delta")}
@@ -382,7 +383,7 @@ def weierstrass_w(curve, prec):
         if new == w:
             return w
         w = new
-    raise ArithmeticError("w-series iteration failed to stabilize (bug)")
+    raise InternalError("w-series iteration failed to stabilize (bug)")
 
 
 def _w_unit(w):
@@ -526,10 +527,10 @@ class FormalGroupLaw:
         ring = self.curve.ring
         row = {e[0]: c for e, c in F.terms.items() if e[1] == 0}
         if row != {1: ring.one}:
-            raise ArithmeticError("formal group law violates F(z1, 0) = z1 (bug)")
+            raise InternalError("formal group law violates F(z1, 0) = z1 (bug)")
         for (i, j), c in F.terms.items():
             if F.terms.get((j, i)) != c:
-                raise ArithmeticError("formal group law violates commutativity (bug)")
+                raise InternalError("formal group law violates commutativity (bug)")
 
     def compose_series(self, s, t):
         """Evaluate the materialized law at multivariate series arguments."""

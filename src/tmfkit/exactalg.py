@@ -20,6 +20,11 @@ class PrecisionError(ValueError):
     """A coefficient beyond the tracked precision was requested."""
 
 
+class InternalError(ArithmeticError):
+    """An internal consistency check failed: two independent routes disagree,
+    or an invariant the code maintains is broken.  A bug, not bad input."""
+
+
 # ---------------------------------------------------------------------------
 # shared kernels: every series and polynomial type runs its dense product,
 # exact division, powers and display through these.  Coefficients only need
@@ -29,7 +34,103 @@ class PrecisionError(ValueError):
 
 def mul_coeffs(a, b, n, zero):
     """The first n coefficients of the product of two dense coefficient lists
-    (low order first); zero coefficients are skipped."""
+    (low order first); zero coefficients are skipped.
+
+    Integer lists (ZZ, GF(p) representatives) that pass the cost rule below
+    take the Kronecker-substitution product ``mul_packed``; every other
+    domain, and every integer product the rule turns down, runs
+    ``mul_schoolbook``.
+    """
+    if type(zero) is int:
+        m = min(len(a), len(b), n)
+        if m >= PACK_MIN_LEN:
+            slot = _slot_bits(a, b, n)
+            if slot and slot <= PACK_SLOT_PER_LEN * m:
+                return mul_packed(a, b, n)
+    return mul_schoolbook(a, b, n, zero)
+
+
+# Cost rule for the packed product, on what the operands show: m, the shorter
+# operand's length within the n requested terms, and the slot width s (about
+# twice the largest coefficient's bit length).  Schoolbook costs about m^2/2
+# interpreter steps, each a small multiply; the packed product costs a few
+# interpreter steps per coefficient plus one Karatsuba product of two m*s-bit
+# integers, so it wins once m is past the packing overhead and while s stays
+# a small multiple of m.  Speed-up of mul_packed over mul_schoolbook (n = m,
+# random signed coefficients, median of three best-of-five timings, CPython
+# 3.11 on a 2-vCPU VM); "uniform" lists have one coefficient size, "growing"
+# ones have coefficient i of size ~ sqrt(i/m) of the largest, as the powers
+# of j do, so the largest coefficient overstates the schoolbook work:
+#
+#              uniform, s/m =              growing, s/m =
+#     m      1     2     3     4     6      1     2     3     4     6
+#    16   0.87  0.73  0.87  1.03  1.01   0.55  0.79  0.76  0.83  0.83
+#    24   0.86  1.76  1.50  1.36  1.29   1.20  1.03  1.19  1.17  1.04
+#    32   1.37  1.56  1.63  1.51  1.38   1.39  1.53  1.47  1.40  1.12
+#    64   2.72  2.54  2.09  1.65  1.29   2.65  2.32  1.81  1.48  0.98
+#   128   3.39  2.87  1.70  1.45  1.10   3.64  2.14  1.46  1.01  0.71
+#   256   3.45  1.75  1.82  1.42  1.60   2.95  1.31  0.96  0.70  0.63
+#   512   2.40  1.95  2.05  1.73  1.77   1.79  0.95  0.86  0.70  0.66
+#
+# Packing pays from m = 32 up to s = 2m (the growing lists break even at
+# m = 512, s = 2m).  The series this package multiplies sit far inside that
+# region (c4^3, c6^2 and the eta powers have s/m < 0.2 at m = 900) or far
+# outside it (j^k * j in the Faber elimination has s/m > 3 from k = 1).
+PACK_MIN_LEN = 32
+PACK_SLOT_PER_LEN = 2
+
+
+def _slot_bits(a, b, n):
+    """Bits per slot that hold every coefficient of the truncated product
+    a*b as a signed value: |c_k| <= m * max|a| * max|b| < 2^(slot-1) with
+    m = min(len(a), len(b)).  None if a coefficient is not an int."""
+    a, b = a[:n], b[:n]
+    try:
+        bits = max(map(int.bit_length, a), default=0) + max(map(int.bit_length, b), default=0)
+    except TypeError:  # a Fraction among QQ coefficients
+        return None
+    return bits + min(len(a), len(b)).bit_length() + 1
+
+
+def _pack(v, width):
+    """The integer sum(v[i] * 2^(8*width*i)) for ints with |v[i]| < 2^(8*width-1)."""
+    pos = int.from_bytes(b"".join((x if x > 0 else 0).to_bytes(width, "little") for x in v), "little")
+    if min(v) >= 0:
+        return pos
+    neg = int.from_bytes(b"".join((-x if x < 0 else 0).to_bytes(width, "little") for x in v), "little")
+    return pos - neg
+
+
+def mul_packed(a, b, n):
+    """The first n coefficients of a*b for int lists, by Kronecker substitution.
+
+    Each list becomes one integer with a fixed-width slot per coefficient, a
+    single big-int product (Karatsuba in CPython) multiplies them, and slot k
+    of the result is coefficient k.  A bias of half a slot in each of the
+    first n slots makes every slot nonnegative, so the slots unpack
+    independently with no borrow between them.
+    """
+    if n <= 0:
+        return []
+    square = a is b
+    a = a[:n]
+    b = a if square else b[:n]
+    if not a or not b:
+        return [0] * n
+    k = min(n, len(a) + len(b) - 1)
+    width = (_slot_bits(a, b, n) + 7) >> 3  # whole bytes per slot
+    s = 8 * width
+    pa = _pack(a, width)
+    c = pa * (pa if square else _pack(b, width))
+    half = 1 << (s - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * k, "little")
+    raw = ((c + bias) & ((1 << (s * k)) - 1)).to_bytes(width * k, "little")
+    out = [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * k, width)]
+    return out + [0] * (n - k)
+
+
+def mul_schoolbook(a, b, n, zero):
+    """The first n coefficients of a*b by the double sum (the reference product)."""
     out = [zero] * n
     for i, x in enumerate(a[:n]):
         if not x:

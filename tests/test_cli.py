@@ -1,7 +1,7 @@
 import json
 
 from tmfkit import cli, elliptic, modforms, moonshine, qseries
-from tmfkit.exactalg import MPoly
+from tmfkit.exactalg import InternalError, MPoly
 from tmfkit.modforms import MFPolynomial
 from tmfkit.moonshine import JPolynomial
 from tmfkit.qseries import QExpansion
@@ -92,6 +92,49 @@ def test_prize_command(capsys):
 def test_genfun_check_command(capsys):
     code, out, _ = run(capsys, "genfun-check", "8")
     assert code == 0 and "global sign: +1" in out
+
+
+def test_genfun_check_cap_is_rejected_before_series_work(capsys, monkeypatch):
+    def no_series(*args):
+        raise AssertionError("series work started")
+
+    for name in ("eisenstein", "j_qexp"):
+        monkeypatch.setattr(qseries, name, no_series)
+    monkeypatch.setattr(moonshine, "genfun_check", no_series)
+    for argv in (
+        ["genfun-check", str(cli.GENFUN_MAX_N + 1)],
+        ["--format", "json", "genfun-check", "100000"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "capped at %d" % cli.GENFUN_MAX_N in err
+
+
+def test_route_disagreement_is_an_internal_error(capsys, monkeypatch):
+    # sabotage the log/exp route of the p-series: the routes disagree, which
+    # is a bug (exit 4), not a computation error on the user's input (exit 2)
+    to_integral = elliptic._to_integral
+
+    def off_by_one(series, ring):
+        good = to_integral(series, ring)
+        return good + good.shift(2).truncate(good.prec)
+
+    monkeypatch.setattr(elliptic, "_to_integral", off_by_one)
+    code, out, err = run(capsys, "fgl-pseries", "3", "--precision", "6")
+    assert code == cli.EXIT_INTERNAL == 4 and out == ""
+    assert err.startswith("internal error: p-series routes disagree")
+
+
+def test_bug_errors_are_internal_errors(capsys, monkeypatch):
+    def broken(*args):
+        raise InternalError("w-series iteration failed to stabilize (bug)")
+
+    monkeypatch.setattr(elliptic, "weierstrass_w", broken)
+    code, _, err = run(capsys, "fgl-pseries", "2", "--precision", "5")
+    assert code == 4 and err.startswith("internal error:")
+    # a computation error on the input keeps its own code
+    code, _, err = run(capsys, "genfun-check", "0")
+    assert code == 2 and err.startswith("computation error:")
 
 
 def test_hecke_command(capsys):

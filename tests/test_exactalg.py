@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tmfkit import exactalg
 from tmfkit.exactalg import (
     ZZ,
     QQ,
@@ -16,6 +17,8 @@ from tmfkit.exactalg import (
     TruncSeries,
     div_coeffs,
     mul_coeffs,
+    mul_packed,
+    mul_schoolbook,
     power,
     series_inverse,
     series_mul,
@@ -303,3 +306,108 @@ def test_power_rejects_negative_and_non_integer_exponents():
     for n in (-1, 2.0):
         with pytest.raises(ValueError):
             power(3, n, 1)
+
+
+# ---------------------------------------------------------------------------
+# the packed (Kronecker-substitution) integer product against the double sum
+
+
+@st.composite
+def int_operands(draw):
+    """Two signed int lists (lengths 0..300, coefficients up to 700 bits, runs
+    of zeros, one sign or mixed signs), a truncation n below, at or above the
+    full product length, and whether the second operand is the first itself."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    lists = []
+    for _ in range(2):
+        length = draw(st.integers(0, 300))
+        bits = draw(st.integers(0, 700))
+        sign = draw(st.sampled_from((1, -1, None)))  # None: mixed signs
+        coeffs = []
+        while len(coeffs) < length:
+            if rng.random() < 0.05:
+                coeffs.extend([0] * rng.randint(1, 40))
+            else:
+                coeffs.append(rng.getrandbits(bits) * (sign or rng.choice((1, -1))))
+        lists.append(coeffs[:length])
+    a, b = lists
+    if draw(st.booleans()):
+        b = a
+    full = len(a) + len(b) - 1
+    where = draw(st.sampled_from(("below", "at", "above")))
+    n = {"below": rng.randint(-1, max(full - 1, 0)), "at": full, "above": full + rng.randint(1, 5)}[where]
+    return a, b, n
+
+
+def test_mul_coeffs_packed_path_matches_double_sum(monkeypatch):
+    packed_calls = []
+    packed = exactalg.mul_packed
+    monkeypatch.setattr(exactalg, "mul_packed", lambda *args: packed_calls.append(1) or packed(*args))
+    paths = set()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(int_operands())
+    def check(operands):
+        a, b, n = operands
+        want = ref_mul(ZZ, a, b, max(n, 0))
+        before = len(packed_calls)
+        assert mul_coeffs(a, b, n, 0) == want
+        long_enough = min(len(a), len(b), n) >= exactalg.PACK_MIN_LEN
+        paths.add((long_enough, len(packed_calls) > before))
+        assert mul_packed(a, b, n) == want  # the packed path whatever the rule says
+
+    check()
+    # both sides of the cost rule were drawn, on length and on slot width
+    assert paths == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("la, lb", [(1, 1), (1, 40), (32, 32), (33, 64), (255, 256)])
+@pytest.mark.parametrize("bits", [1, 7, 8, 63, 64, 300])
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+def test_mul_packed_extreme_coefficients(la, lb, bits, signs):
+    # every coefficient at the largest magnitude, so each product coefficient
+    # reaches the slot bound: m * max|a| * max|b|
+    x, y = signs[0] * (2 ** bits - 1), signs[1] * (2 ** bits - 1)
+    full = la + lb - 1
+    want = [x * y * (min(k, la - 1) - max(0, k - lb + 1) + 1) for k in range(full)]
+    assert mul_packed([x] * la, [y] * lb, full + 2) == want + [0, 0]
+    assert mul_packed([x] * la, [y] * lb, full // 2) == want[: full // 2]
+
+
+def test_mul_packed_edge_cases():
+    assert mul_packed([1, 2], [3], 0) == [] == mul_packed([1, 2], [3], -2)
+    assert mul_packed([], [1, 2, 3], 4) == [0, 0, 0, 0] == mul_packed([], [], 4)
+    assert mul_packed([0, 0], [0], 3) == [0, 0, 0]
+    a = [3, -1, 4]
+    assert mul_packed(a, a, 6) == [9, -6, 25, -8, 16, 0]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DOMAINS))
+def test_mul_coeffs_other_domains_unchanged(name, monkeypatch):
+    # long enough to pass the length rule, so only the domain keeps them off
+    # the packed path (GF(5) representatives are ints and may take it)
+    ring, elem = KERNEL_DOMAINS[name]
+    packed_calls = []
+    packed = exactalg.mul_packed
+    monkeypatch.setattr(exactalg, "mul_packed", lambda *args: packed_calls.append(1) or packed(*args))
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(st.lists(elem, min_size=40, max_size=60), st.lists(elem, min_size=40, max_size=60))
+    def check(a, b):
+        n = len(a) + len(b)
+        got = mul_coeffs(a, b, n, ring.zero)
+        want = mul_schoolbook(a, b, n, ring.zero)
+        assert got == want and list(map(type, got)) == list(map(type, want))
+
+    check()
+    if name in ("QQ", "Z[x,y]"):
+        assert not packed_calls
+
+
+def test_mul_coeffs_fractions_with_int_zero_stay_on_schoolbook(monkeypatch):
+    # QExpansion multiplies with zero = 0 even when a coefficient is a Fraction
+    monkeypatch.setattr(exactalg, "mul_packed", None)
+    a = list(range(1, 50)) + [Fraction(1, 3)]
+    got = mul_coeffs(a, a, 100, 0)
+    assert got == mul_schoolbook(a, a, 100, 0)
+    assert got[98] == Fraction(1, 9)

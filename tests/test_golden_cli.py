@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from tmfkit import cli
+from tmfkit import cli, exactalg
 
 CORPUS = Path(__file__).with_name("golden_cli.json")
 
@@ -36,6 +36,16 @@ INVOCATIONS = [
     ["anss-survivors", "p2", "8"],
     ["anss-survivors", "p3", "6"],
 ]
+# large enough that integer products take the packed (Kronecker) path
+PACKED_INVOCATIONS = [
+    ["qexp", "j", "--precision", "120"],
+    ["qexp", "delta", "--precision", "200"],
+    ["hecke", "3", "--precision", "300"],
+    ["jn", "5", "--precision", "120"],
+    ["prize", "--precision", "150"],
+    ["genfun-check", "40"],
+]
+INVOCATIONS += PACKED_INVOCATIONS
 
 
 def all_argvs():
@@ -74,3 +84,12 @@ def test_golden_cli(corpus, argv):
     code, stdout = run_main(argv)
     assert code == record["exit"]
     assert stdout == record["stdout"]
+
+
+@pytest.mark.parametrize("argv", PACKED_INVOCATIONS, ids=" ".join)
+def test_large_invocations_take_the_packed_product(monkeypatch, argv):
+    calls = []
+    packed = exactalg.mul_packed
+    monkeypatch.setattr(exactalg, "mul_packed", lambda *args: calls.append(1) or packed(*args))
+    run_main(argv)
+    assert calls

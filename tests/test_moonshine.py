@@ -5,6 +5,8 @@ from tmfkit.exactalg import PrecisionError
 from tmfkit.modforms import C4, DELTA
 from tmfkit.moonshine import (
     JPolynomial,
+    GenfunReport,
+    faber_constants,
     faber_jn,
     genfun_check,
     hecke_weight0,
@@ -115,6 +117,35 @@ def test_genfun_constant_term():
     c4 = qseries.eisenstein(4, 6)
     c6 = qseries.eisenstein(6, 6)
     assert c6.exact_div(c4).coeff(0) == 1
+
+
+def reference_genfun(N):
+    """genfun_check through the per-n route: jn_at_omega (a fresh faber_jn
+    elimination) for every n, and j to precision N + 2."""
+    pad = N + 2
+    lhs = qseries.eisenstein(6, pad).exact_div(qseries.eisenstein(4, pad))
+    j = qseries.j_qexp(pad)
+    rhs = (-j.theta()).exact_div(j)
+    sign = 1 if lhs.coeff(1) == jn_at_omega(1) else -1
+    report = GenfunReport(N, lhs.agrees_with(rhs, N + 1), sign)
+    for n in range(1, N + 1):
+        want, got = sign * jn_at_omega(n), lhs.coeff(n)
+        if got == want:
+            report.matches.append(n)
+        else:
+            report.mismatches.append({"n": n, "coefficient": got, "expected": want})
+    return report
+
+
+def test_faber_constants_sweep_matches_per_n_elimination():
+    assert faber_constants(qseries.j_qexp(41), 40) == [jn_at_omega(n) for n in range(1, 41)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 15, 40])
+def test_genfun_check_sweep_matches_per_n_reference(N):
+    report = genfun_check(N)
+    assert report.ok
+    assert report.to_dict() == reference_genfun(N).to_dict()
 
 
 def test_witten_forms():
