@@ -315,8 +315,8 @@ def test_power_rejects_negative_and_non_integer_exponents():
 @st.composite
 def int_operands(draw):
     """Two signed int lists (lengths 0..300, coefficients up to 700 bits, runs
-    of zeros, one sign or mixed signs), a truncation n below, at or above the
-    full product length, and whether the second operand is the first itself."""
+    of zeros, one sign or mixed signs; half the time one list twice, as in a
+    square) and a truncation n below, at or above the full product length."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     lists = []
     for _ in range(2):
@@ -339,10 +339,16 @@ def int_operands(draw):
     return a, b, n
 
 
-def test_mul_coeffs_packed_path_matches_double_sum(monkeypatch):
-    packed_calls = []
+@pytest.fixture
+def packed_calls(monkeypatch):
+    """The argument tuples of every call of the packed product."""
+    calls = []
     packed = exactalg.mul_packed
-    monkeypatch.setattr(exactalg, "mul_packed", lambda *args: packed_calls.append(1) or packed(*args))
+    monkeypatch.setattr(exactalg, "mul_packed", lambda *args: calls.append(args) or packed(*args))
+    return calls
+
+
+def test_mul_coeffs_packed_path_matches_double_sum(packed_calls):
     paths = set()
 
     @settings(derandomize=True, max_examples=60, deadline=None)
@@ -383,13 +389,10 @@ def test_mul_packed_edge_cases():
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_DOMAINS))
-def test_mul_coeffs_other_domains_unchanged(name, monkeypatch):
+def test_mul_coeffs_other_domains_unchanged(name, packed_calls):
     # long enough to pass the length rule, so only the domain keeps them off
     # the packed path (GF(5) representatives are ints and may take it)
     ring, elem = KERNEL_DOMAINS[name]
-    packed_calls = []
-    packed = exactalg.mul_packed
-    monkeypatch.setattr(exactalg, "mul_packed", lambda *args: packed_calls.append(1) or packed(*args))
 
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(st.lists(elem, min_size=40, max_size=60), st.lists(elem, min_size=40, max_size=60))
