@@ -344,7 +344,9 @@ def cmd_fgl_pseries(args):
     fgl = elliptic.formal_group_law(curve, degree)
     series = elliptic.p_series(fgl, p, degree)
     coeffs = [series.known(i) for i in range(degree + 1)]
-    report = elliptic.v1_check(curve, p) if p % 2 else None
+    report = None
+    if p % 2:
+        report = elliptic.v1_check(curve, p, series=series if degree >= p else None)
     if args.format == "text":
         text_lines("curve: %s" % curve, "[%d](z) to degree %d:" % (p, degree))
         for i, c in enumerate(coeffs):
@@ -476,10 +478,42 @@ def build_parser():
     return parser
 
 
+# options that take a value, before or after the subcommand
+_VALUE_OPTIONS = ("--precision", "--format", "--presentation")
+
+
+def _expression_last(argv):
+    """``tmf-member -24*Delta ...`` as ``tmf-member ... -- -24*Delta``.
+
+    argparse reads a word that starts with "-" and is not a number as an
+    unknown option; an expression that starts with a minus sign goes after
+    "--" instead, which is where the user could have put it.  Other commands,
+    and argument lists that already hold "--", are returned unchanged.
+    """
+    def skip(i):  # index after the option (and its value) at i
+        word = argv[i]
+        takes_value = "=" not in word and len(word) > 2 and any(o.startswith(word) for o in _VALUE_OPTIONS)
+        return i + 2 if takes_value else i + 1
+
+    i = 0
+    while i < len(argv) and argv[i].startswith("-") and argv[i] != "--":
+        i = skip(i)
+    if i >= len(argv) or argv[i] != "tmf-member" or "--" in argv:
+        return argv
+    i += 1
+    while i < len(argv):
+        word = argv[i]
+        if len(word) > 1 and word[0] == "-" and word[1] in "0123456789(cD":
+            return argv[:i] + argv[i + 1:] + ["--", word]
+        i = skip(i) if word.startswith("-") else i + 1
+    return argv
+
+
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_expression_last(argv))
         # a subcommand may declare its own default precision (fgl-pseries: its cap)
         default = getattr(args, "default_precision", DEFAULT_PRECISION)
         args.precision = getattr(args, "precision", default)

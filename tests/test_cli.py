@@ -180,6 +180,18 @@ def test_fgl_pseries_command(capsys):
     assert MPoly.from_dict(payload["result"]["coefficients"][1]) == curve.ring.const(2)
 
 
+def test_fgl_pseries_computes_one_p_series(capsys, monkeypatch):
+    # the v1 report reads the z^p coefficient of the p-series printed above it
+    calls = []
+    p_series = elliptic.p_series
+    monkeypatch.setattr(elliptic, "p_series", lambda *args: calls.append(args) or p_series(*args))
+    assert run(capsys, "fgl-pseries", "3", "--precision", "8")[0] == 0
+    assert len(calls) == 1
+    # below degree p the v1 report computes its own
+    code, out, _ = run(capsys, "fgl-pseries", "3", "--precision", "2")
+    assert code == 0 and len(calls) == 3 and "Hasse invariant: a2" in out
+
+
 def test_fgl_pseries_degree_cap(capsys):
     for argv in (
         ["--format", "json", "fgl-pseries", "2", "--precision", "40"],
@@ -204,8 +216,22 @@ def test_tmf_member_leading_minus_after_double_dash(capsys):
     payload = json.loads(out)
     assert payload["inputs"]["expression"] == "-24*Delta"
     assert payload["result"]["member"] is True
-    # without "--" argparse reads the expression as an unknown option
-    assert run(capsys, "tmf-member", "-24*Delta")[0] == 1
+    # without "--" the expression is still read as the expression
+    assert run(capsys, "--format", "json", "tmf-member", "-24*Delta") == (code, out, "")
+
+
+def test_tmf_member_leading_minus_without_double_dash(capsys):
+    for fmt in ("text", "json"):
+        want = run(capsys, "--format", fmt, "tmf-member", "--", "-24*Delta")
+        assert want[0] == 0
+        assert run(capsys, "--format", fmt, "tmf-member", "-24*Delta") == want
+        assert run(capsys, "tmf-member", "-24*Delta", "--format", fmt) == want
+        assert run(capsys, "tmf-member", "--format", fmt, "-24*Delta") == want
+    # a non-member with a leading minus keeps its exit code 3
+    assert run(capsys, "tmf-member", "-Delta")[0] == 3
+    # options are still options, and other commands parse as before
+    assert run(capsys, "tmf-member", "-x")[0] == 1
+    assert run(capsys, "jn", "-3")[0] == run(capsys, "jn", "--", "-3")[0]
 
 
 def test_anss_survivors_command(capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tmfkit.exactalg import ZZ, PolynomialRing, TruncSeries
+from tmfkit.exactalg import ZZ, PolynomialRing, PrecisionError, TruncSeries
 from tmfkit.elliptic import (
     RouteDisagreementError,
     WeierstrassCurve,
@@ -168,6 +168,16 @@ def test_three_series_v1_coefficient():
     assert str(report.hasse) == "a2"
     assert report.unit == 1
     assert report.pseries_coeff == report.hasse
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_v1_check_reuses_a_computed_p_series(p):
+    curve = curve_a2_a4()
+    series = p_series(formal_group_law(curve, p + 4), p, p + 4)
+    assert v1_check(curve, p, series=series) == v1_check(curve, p)
+    # a p-series that stops below z^p cannot serve
+    with pytest.raises(PrecisionError):
+        v1_check(curve, p, series=series.truncate(p))
 
 
 def test_hasse_examples():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -414,3 +415,152 @@ def test_mul_coeffs_fractions_with_int_zero_stay_on_schoolbook(monkeypatch):
     got = mul_coeffs(a, a, 100, 0)
     assert got == mul_schoolbook(a, a, 100, 0)
     assert got[98] == Fraction(1, 9)
+
+
+# ---------------------------------------------------------------------------
+# the graded product (series over a weighted ZZ[x, y] or QQ[x, y]) against
+# the schoolbook product
+
+
+@pytest.fixture
+def graded_calls(monkeypatch):
+    """(ring, took the graded path) for every call of the graded product."""
+    calls = []
+    graded = exactalg.mul_graded
+
+    def spy(a, b, n, zero):
+        out = graded(a, b, n, zero)
+        calls.append((zero.ring, out is not None))
+        return out
+
+    monkeypatch.setattr(exactalg, "mul_graded", spy)
+    return calls
+
+
+@st.composite
+def homogeneous_operands(draw, ring):
+    """Two polynomial coefficient lists, each with its z^i coefficient
+    homogeneous of weight i + k for its own k (zero where i + k has no
+    monomial), whole zero coefficients among them; half the time one list
+    twice, as in a square; and n <= 0, below, at or above the full length."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    wx, wy = ring.weights
+    rational = ring.base == QQ
+
+    def coeff():
+        c = rng.randint(-20, 20)
+        return Fraction(c, rng.randint(1, 12)) if rational else c
+
+    lists = []
+    for _ in range(2):
+        k = draw(st.integers(-3, 3))
+        coeffs = []
+        for i in range(draw(st.integers(0, 40))):
+            weight = i + k
+            monos = [(ex, (weight - wx * ex) // wy) for ex in range(max(weight, -1) // wx + 1)
+                     if (weight - wx * ex) % wy == 0]
+            if rng.random() < 0.2:
+                monos = []
+            coeffs.append(ring.from_terms({e: coeff() for e in monos}))
+        lists.append(coeffs)
+    a, b = lists
+    if draw(st.booleans()):
+        b = a
+    full = len(a) + len(b) - 1
+    where = draw(st.sampled_from(("nonpositive", "below", "at", "above")))
+    n = {"nonpositive": rng.randint(-2, 0), "below": rng.randint(1, max(full - 1, 1)),
+         "at": full, "above": full + rng.randint(1, 5)}[where]
+    return a, b, n
+
+
+def coefficient_types(coeffs):
+    return [type(c) for p in coeffs for c in p.terms.values()]
+
+
+@pytest.mark.parametrize("base", [ZZ, QQ])
+@pytest.mark.parametrize("weights", [(1, 3), (2, 3)])
+def test_graded_product_matches_schoolbook(base, weights, graded_calls, packed_calls, monkeypatch):
+    ring = PolynomialRing(("x", "y"), base, weights)
+
+    def same(got, want):
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+        assert coefficient_types(got) == coefficient_types(want)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(homogeneous_operands(ring))
+    def check(operands):
+        a, b, n = operands
+        want = mul_schoolbook(a, b, n, ring.zero)
+        same(mul_coeffs(a, b, n, ring.zero), want)
+        with monkeypatch.context() as m:  # the graded path whatever the cost rule says
+            m.setattr(exactalg, "GRADED_SLOTS_PER_TERM", math.inf)
+            same(exactalg.mul_graded(a, b, n, ring.zero), want)
+
+    check()
+    assert graded_calls and all(taken for _, taken in graded_calls[1::2])
+    assert any(taken for _, taken in graded_calls[::2])  # and under the rule
+    assert packed_calls  # some flattened products were long enough to pack
+
+
+def test_graded_product_non_homogeneous_operand_gives_schoolbook(graded_calls):
+    for base in (ZZ, QQ):
+        ring = PolynomialRing(("x", "y"), base, (1, 3))
+        x, y = ring.gens()
+        good = [ring.zero, ring.one, x, x * x + y, x ** 3 - 2 * x * y]  # z^i of weight i - 1
+        for bad in ([ring.one, x + y], [ring.zero, x, y], [x, x * x, y * 5 + x]):
+            for a, b in ((good, bad), (bad, good), (bad, bad)):
+                n = len(a) + len(b) - 1
+                got = mul_coeffs(a, b, n, ring.zero)
+                assert got == mul_schoolbook(a, b, n, ring.zero)
+                assert coefficient_types(got) == coefficient_types(mul_schoolbook(a, b, n, ring.zero))
+        assert graded_calls[-1] == (ring, False)
+
+
+def test_graded_product_declines_a_sparse_layout(graded_calls):
+    # over five variables the box of exponents outgrows the terms; the cost
+    # rule keeps such products on the schoolbook path
+    from tmfkit.elliptic import formal_log, generic_curve
+
+    log = formal_log(generic_curve(), 16)
+    n = len(log.coeffs)
+    del graded_calls[:]
+    got = mul_coeffs(log.coeffs, log.coeffs, n, log.ring.zero)
+    assert graded_calls == [(log.ring, False)]
+    assert got == mul_schoolbook(log.coeffs, log.coeffs, n, log.ring.zero)
+
+
+def test_graded_product_carries_weights_through_base_changes():
+    ring = PolynomialRing(("x", "y"), ZZ, (2, 3))
+    p = ring.gen("x")
+    assert p.to_base(QQ).ring.weights == p.reduce_mod(5).ring.weights == (2, 3)
+    # weights are not part of a ring's identity
+    assert PolynomialRing(("x", "y")) == ring and hash(PolynomialRing(("x", "y"))) == hash(ring)
+    with pytest.raises(ValueError):
+        PolynomialRing(("x", "y"), ZZ, (1, 0))
+    # GF(p) coefficients keep the schoolbook product
+    gf = p.reduce_mod(5).ring
+    a = [gf.zero, gf.one, gf.gen("x")]
+    assert exactalg.mul_graded(a, a, 5, gf.zero) is None
+
+
+def test_p_series_takes_the_graded_path_in_both_routes(graded_calls, monkeypatch):
+    from tmfkit.elliptic import curve_a1_a3, curve_a2_a4, formal_group_law, p_series
+
+    schoolbook = exactalg.mul_schoolbook
+    polynomial_schoolbook = []
+
+    def spy(a, b, n, zero):
+        if type(zero) is not int:
+            polynomial_schoolbook.append(zero)
+        return schoolbook(a, b, n, zero)
+
+    monkeypatch.setattr(exactalg, "mul_schoolbook", spy)
+    for curve, p in ((curve_a1_a3(), 2), (curve_a2_a4(), 3)):
+        del graded_calls[:]
+        p_series(formal_group_law(curve, 12), p, 12)
+        # route A runs over ZZ[a_i], route B (log/exp) over QQ[a_i]
+        bases = {type(ring.base) for ring, _ in graded_calls}
+        assert bases == {type(ZZ), type(QQ)}
+        assert all(taken for _, taken in graded_calls)
+    assert not polynomial_schoolbook
