@@ -457,8 +457,8 @@ def homogeneous_operands(draw, ring):
         coeffs = []
         for i in range(draw(st.integers(0, 40))):
             weight = i + k
-            monos = [(ex, (weight - wx * ex) // wy) for ex in range(max(weight, -1) // wx + 1)
-                     if (weight - wx * ex) % wy == 0]
+            monos = [(ex, (weight - wx * ex) // wy) for ex in range(weight // wx + 1)
+                     if (weight - wx * ex) % wy == 0] if weight >= 0 else []
             if rng.random() < 0.2:
                 monos = []
             coeffs.append(ring.from_terms({e: coeff() for e in monos}))
