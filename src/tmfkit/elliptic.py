@@ -8,7 +8,6 @@ curve's negation.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactalg import (
     ZZ,
@@ -21,7 +20,6 @@ from .exactalg import (
     PolynomialRing,
     PrimeField,
     TruncSeries,
-    power,
 )
 
 
@@ -175,188 +173,6 @@ def a2a4_delta_discrepancy():
 
 
 # ---------------------------------------------------------------------------
-# truncated multivariate series (carrier for the materialized group law)
-
-
-class MultiSeries:
-    """Series in z1..zk over a scalar or polynomial domain, truncated at a
-    total-degree bound: ``prec`` is the first unknown total degree."""
-
-    __slots__ = ("ring", "nvars", "terms", "prec")
-
-    def __init__(self, ring, nvars, terms, prec, _clean=False):
-        self.ring = ring
-        self.nvars = nvars
-        self.prec = prec
-        if _clean:
-            self.terms = terms
-            return
-        clean = {}
-        for exp, c in terms.items():
-            exp = tuple(exp)
-            if len(exp) != nvars:
-                raise ValueError("exponent tuple %r for %d variables" % (exp, nvars))
-            if sum(exp) >= prec:
-                continue
-            c = ring.canon(ring.coerce(c))
-            if not ring.is_zero(c):
-                clean[exp] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, ring, nvars, prec):
-        return cls(ring, nvars, {}, prec, _clean=True)
-
-    @classmethod
-    def one(cls, ring, nvars, prec):
-        return cls(ring, nvars, {(0,) * nvars: ring.one}, prec, _clean=True)
-
-    @classmethod
-    def variable(cls, ring, nvars, index, prec):
-        exp = [0] * nvars
-        exp[index] = 1
-        return cls(ring, nvars, {tuple(exp): ring.one}, prec, _clean=True)
-
-    def coefficient(self, exp):
-        return self.terms.get(tuple(exp), self.ring.zero)
-
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if not isinstance(other, MultiSeries):
-            raise TypeError("expected MultiSeries, got %r" % (other,))
-        if other.ring != self.ring or other.nvars != self.nvars:
-            raise DomainMismatchError("incompatible multivariate series")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        ring = self.ring
-        prec = min(self.prec, other.prec)
-        out = {e: c for e, c in self.terms.items() if sum(e) < prec}
-        for e, c in other.terms.items():
-            if sum(e) >= prec:
-                continue
-            s = ring.add(out.get(e, ring.zero), c)
-            if ring.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MultiSeries(ring, self.nvars, out, prec, _clean=True)
-
-    def __neg__(self):
-        neg = self.ring.neg
-        return MultiSeries(
-            self.ring, self.nvars, {e: neg(c) for e, c in self.terms.items()}, self.prec, _clean=True
-        )
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        ring = self.ring
-        prec = min(self.prec, other.prec)
-        add, mul, is_zero, zero = ring.add, ring.mul, ring.is_zero, ring.zero
-        out = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            if d1 >= prec:
-                continue
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) >= prec:
-                    continue
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = add(out.get(exp, zero), mul(c1, c2))
-                if is_zero(s):
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        return MultiSeries(ring, self.nvars, out, prec, _clean=True)
-
-    def scale(self, c):
-        ring = self.ring
-        c = ring.coerce(c)
-        if ring.is_zero(c):
-            return MultiSeries.zero(ring, self.nvars, self.prec)
-        out = {}
-        for e, v in self.terms.items():
-            s = ring.mul(v, c)
-            if not ring.is_zero(s):
-                out[e] = s
-        return MultiSeries(ring, self.nvars, out, self.prec, _clean=True)
-
-    def mul_int(self, n):
-        ring = self.ring
-        out = {}
-        for e, v in self.terms.items():
-            s = ring.canon(ring.mul_int(v, n))
-            if not ring.is_zero(s):
-                out[e] = s
-        return MultiSeries(ring, self.nvars, out, self.prec, _clean=True)
-
-    def __pow__(self, n):
-        return power(self, n, MultiSeries.one(self.ring, self.nvars, self.prec))
-
-    def inverse(self):
-        """Inverse of a series with unit constant term, by Newton iteration."""
-        ring = self.ring
-        c0 = self.terms.get((0,) * self.nvars)
-        if c0 is None or not ring.is_unit(c0):
-            raise ExactnessError("multivariate inverse requires a unit constant term")
-        inv0 = ring.invert(c0)
-        x = MultiSeries(self.ring, self.nvars, {(0,) * self.nvars: inv0}, 1, _clean=True)
-        two = MultiSeries(self.ring, self.nvars, {(0,) * self.nvars: ring.mul_int(ring.one, 2)},
-                          self.prec, _clean=True)
-        k = 1
-        while k < self.prec:
-            k = min(2 * k, self.prec)
-            x = MultiSeries(ring, self.nvars, x.terms, k, _clean=True)
-            x = x * (two - self * x)
-        return x
-
-    def embed(self, nvars, positions):
-        """Reinterpret in a larger variable set; positions maps old slots to new."""
-        out = {}
-        for e, c in self.terms.items():
-            exp = [0] * nvars
-            for old, new in enumerate(positions):
-                exp[new] = e[old]
-            out[tuple(exp)] = c
-        return MultiSeries(self.ring, nvars, out, self.prec, _clean=True)
-
-    def truncate(self, prec):
-        prec = min(prec, self.prec)
-        out = {e: c for e, c in self.terms.items() if sum(e) < prec}
-        return MultiSeries(self.ring, self.nvars, out, prec, _clean=True)
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.nvars == other.nvars
-            and self.prec == other.prec
-            and self.terms == other.terms
-        )
-
-    def __str__(self):
-        names = ["z%d" % (i + 1) for i in range(self.nvars)]
-        pieces = []
-        for e, c in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0])):
-            mono = "*".join(
-                n if p == 1 else "%s^%d" % (n, p) for n, p in zip(names, e) if p
-            )
-            cs = str(c)
-            if any(op in cs[1:] for op in "+-"):
-                cs = "(%s)" % cs
-            pieces.append("%s*%s" % (cs, mono) if mono else cs)
-        body = " + ".join(pieces) if pieces else "0"
-        return body + " + O(deg %d)" % self.prec
-
-
-# ---------------------------------------------------------------------------
 # the formal group law
 
 
@@ -424,11 +240,22 @@ def invariant_differential(curve, prec):
     return num.exact_div(den).truncate(prec)
 
 
+def _product(f, g, prec):
+    """f*g below z^prec for series with a precision, computing no
+    coefficient past it: each factor is needed only below prec minus the
+    other's valuation."""
+    vf, vg = f.valuation(), g.valuation()
+    if vf + vg >= prec:
+        return TruncSeries.zero(f.ring, prec)
+    return f.truncate(prec - vg) * g.truncate(prec - vf)
+
+
 def _eval_poly(coeffs, arg, one):
-    """sum coeffs[i] * arg^i by Horner; coeffs are ring elements, low first."""
+    """sum coeffs[i] * arg^i by Horner, below the precision of ``one``;
+    coeffs are ring elements, low first."""
     acc = one.scale(coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        acc = acc * arg + one.scale(c)
+        acc = _product(acc, arg, one.prec) + one.scale(c)
     return acc
 
 
@@ -457,6 +284,11 @@ class FormalGroupLaw:
 
     def _chord_sum(self, s, t, one):
         ring = self.curve.ring
+        prec = one.prec
+
+        def mul(f, g):
+            return _product(f, g, prec)
+
         a1, a2, a3, a4, a6 = self.curve.coefficients()
         zero = one.scale(ring.zero)
         A = self.w.coeffs  # A[n] = coefficient of z^n in w
@@ -465,15 +297,15 @@ class FormalGroupLaw:
         tpow = t
         lam = zero
         for m in range(1, self.degree + 1):
-            h = s * h + tpow
+            h = mul(s, h) + tpow
             if m >= 2 and m + 1 < len(A) and not ring.is_zero(A[m + 1]):
                 lam = lam + h.scale(A[m + 1])
             if m < self.degree:
-                tpow = tpow * t
-        nu = _eval_poly(A, s, one) - lam * s
+                tpow = mul(tpow, t)
+        nu = _eval_poly(A, s, one) - mul(lam, s)
         lam2 = None
         if not (ring.is_zero(a3) and ring.is_zero(a4) and ring.is_zero(a6)):
-            lam2 = lam * lam
+            lam2 = mul(lam, lam)
         num = zero
         if not ring.is_zero(a1):
             num = num + lam.scale(a1)
@@ -482,20 +314,20 @@ class FormalGroupLaw:
         if not ring.is_zero(a2):
             num = num + nu.scale(a2)
         if not ring.is_zero(a4):
-            num = num + (lam * nu).scale(ring.mul_int(a4, 2))
+            num = num + mul(lam, nu).scale(ring.mul_int(a4, 2))
         if not ring.is_zero(a6):
-            num = num + (lam2 * nu).scale(ring.mul_int(a6, 3))
+            num = num + mul(lam2, nu).scale(ring.mul_int(a6, 3))
         den = one
         if not ring.is_zero(a2):
             den = den + lam.scale(a2)
         if not ring.is_zero(a4):
             den = den + lam2.scale(a4)
         if not ring.is_zero(a6):
-            den = den + (lam2 * lam).scale(a6)
+            den = den + mul(lam2, lam).scale(a6)
         if den == one:
             z3 = -(s + t + num)
         else:
-            z3 = -(s + t + num * den.inverse())
+            z3 = -(s + t + mul(num, den.inverse()))
         if self._neg_coeffs is None:
             return -z3  # negation is z -> -z when a1 = a3 = 0
         return _eval_poly(self._neg_coeffs, z3, one)
@@ -513,13 +345,15 @@ class FormalGroupLaw:
 
     @property
     def series(self):
+        """F as a polynomial in z1, z2 over the curve ring, through total
+        degree ``degree``: the chord sum runs on z1*T and z2*T over
+        R[z1, z2], so the T^d coefficient is F's total-degree-d part."""
         if self._series is None:
-            ring = self.curve.ring
+            ring = PolynomialRing(("z1", "z2"), self.curve.ring)
             prec = self.degree + 1
-            s = MultiSeries.variable(ring, 2, 0, prec)
-            t = MultiSeries.variable(ring, 2, 1, prec)
-            one = MultiSeries.one(ring, 2, prec)
-            F = self._chord_sum(s, t, one)
+            z1, z2 = (TruncSeries(ring, [ring.zero, z], prec) for z in ring.gens())
+            parts = self._chord_sum(z1, z2, TruncSeries.one(ring, prec)).coeffs
+            F = MPoly(ring, {e: c for part in parts for e, c in part.terms.items()}, _clean=True)
             self._verify_unit_and_commutativity(F)
             self._series = F
         return self._series
@@ -536,36 +370,43 @@ class FormalGroupLaw:
             if F.terms.get((j, i)) != c:
                 raise InternalError("formal group law violates commutativity (bug)")
 
-    def compose_series(self, s, t):
-        """Evaluate the materialized law at multivariate series arguments."""
-        F = self.series
-        ring = self.curve.ring
-        nvars, prec = s.nvars, min(s.prec, t.prec)
-        spow = {0: MultiSeries.one(ring, nvars, prec)}
-        tpow = {0: MultiSeries.one(ring, nvars, prec)}
-
-        def cached_power(cache, base, n):
-            if n not in cache:
-                cache[n] = cached_power(cache, base, n - 1) * base
-            return cache[n]
-
-        acc = MultiSeries.zero(ring, nvars, prec)
-        for (i, j), c in sorted(F.terms.items()):
-            acc = acc + (cached_power(spow, s, i) * cached_power(tpow, t, j)).scale(c)
-        return acc
-
     def verify_associative(self, degree=None):
-        """Expand F(F(z1,z2),z3) and F(z1,F(z2,z3)) and compare; True if equal."""
+        """Expand F(F(z1,z2),z3) and F(z1,F(z2,z3)) and compare; True if equal.
+
+        Both orders are series in T over R[z1, z2, z3] (z_i -> z_i*T, as in
+        ``series``) built from the table, with every product cut below
+        T^(degree+1).
+        """
         degree = self.degree if degree is None else min(degree, self.degree)
         prec = degree + 1
-        ring = self.curve.ring
-        F = self.series.truncate(prec)
-        left_inner = F.embed(3, (0, 1))
-        right_inner = F.embed(3, (1, 2))
-        z1 = MultiSeries.variable(ring, 3, 0, prec)
-        z3 = MultiSeries.variable(ring, 3, 2, prec)
-        left = self.compose_series(left_inner, z3)
-        right = self.compose_series(z1, right_inner)
+        ring = PolynomialRing(("z1", "z2", "z3"), self.curve.ring)
+        table = [(e, c) for e, c in self.series.terms.items() if sum(e) < prec]
+
+        def monomial(exps, c):
+            e = [0, 0, 0]
+            for k, n in exps:
+                e[k] = n
+            return MPoly(ring, {tuple(e): c}, _clean=True)
+
+        def expand(pairs, inner, k):
+            # sum of c * inner^i * (z_k*T)^j over the ((i, j), c) in pairs;
+            # the factor T^j leaves inner^i needed only below T^(prec-j)
+            powers = [TruncSeries.one(ring, prec)]
+            acc = TruncSeries.zero(ring, prec)
+            for (i, j), c in pairs:
+                while len(powers) <= i:
+                    powers.append(_product(powers[-1], inner, prec))
+                acc = acc + powers[i].truncate(prec - j).scale(monomial(((k, j),), c)).shift(j)
+            return acc
+
+        def law(a, b):  # F(z_a*T, z_b*T)
+            rows = [ring.zero] * prec
+            for (i, j), c in table:
+                rows[i + j] = rows[i + j] + monomial(((a, i), (b, j)), c)
+            return TruncSeries(ring, rows, prec)
+
+        left = expand(table, law(0, 1), 2)
+        right = expand([((j, i), c) for (i, j), c in table], law(1, 2), 0)
         return left == right
 
 
@@ -586,15 +427,18 @@ def _rational_ring(ring):
     raise ValueError("logarithm route needs a torsion-free integral base, got %s" % ring.name)
 
 
+def _on_ring(series, ring):
+    """The series with every coefficient rebuilt on ``ring`` itself: a scalar
+    domain, or the same variables over another scalar domain."""
+    if isinstance(ring, PolynomialRing):
+        return series.map_coeffs(lambda c: ring.from_terms(c.terms), ring)
+    return series.map_coeffs(ring.coerce, ring)
+
+
 def formal_log(curve, prec):
     """Termwise integral of the invariant differential, over the rationals."""
-    qring = _rational_ring(curve.ring)
     omega = invariant_differential(curve, prec)
-    if isinstance(qring, PolynomialRing):
-        omega_q = omega.map_coeffs(lambda c: c.to_base(QQ), qring)
-    else:
-        omega_q = omega.map_coeffs(Fraction, qring)
-    return omega_q.integrate()
+    return _on_ring(omega, _rational_ring(curve.ring)).integrate()
 
 
 def formal_exp(curve, prec):
@@ -603,13 +447,8 @@ def formal_exp(curve, prec):
 
 
 def _to_integral(series, ring):
-    def back(c):
-        if isinstance(c, MPoly):
-            return c.to_base(ZZ)
-        return ZZ.coerce(c)
-
     try:
-        return series.map_coeffs(back, ring)
+        return _on_ring(series, ring)
     except DomainMismatchError as exc:
         raise ExactnessError("denominators failed to cancel: %s" % exc) from None
 

@@ -336,21 +336,10 @@ def format_terms(names, terms, sep="*"):
 # scalar coefficient domains
 
 
-class IntegerRing:
-    """Arbitrary-precision integers."""
-
-    name = "ZZ"
-    zero = 0
-    one = 1
-
-    def coerce(self, x):
-        if isinstance(x, bool):
-            raise DomainMismatchError("bool is not an integer coefficient")
-        if isinstance(x, int):
-            return x
-        if isinstance(x, Fraction) and x.denominator == 1:
-            return int(x)
-        raise DomainMismatchError("cannot coerce %r into %s" % (x, self.name))
+class NativeDomain:
+    """Domain methods on Python's own operators, for values that are always
+    in canonical form.  ZZ and QQ use all of them; PrimeField and
+    PolynomialRing override the ones they reduce or wrap."""
 
     def canon(self, a):
         return a
@@ -372,6 +361,32 @@ class IntegerRing:
 
     def is_zero(self, a):
         return a == 0
+
+    def __repr__(self):
+        return self.name
+
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(self.name)
+
+
+class IntegerRing(NativeDomain):
+    """Arbitrary-precision integers."""
+
+    name = "ZZ"
+    zero = 0
+    one = 1
+
+    def coerce(self, x):
+        if isinstance(x, bool):
+            raise DomainMismatchError("bool is not an integer coefficient")
+        if isinstance(x, int):
+            return x
+        if isinstance(x, Fraction) and x.denominator == 1:
+            return int(x)
+        raise DomainMismatchError("cannot coerce %r into %s" % (x, self.name))
 
     def is_unit(self, a):
         return a == 1 or a == -1
@@ -389,17 +404,8 @@ class IntegerRing:
             raise ExactnessError("%r is not divisible by %r" % (a, b))
         return q
 
-    def __repr__(self):
-        return self.name
 
-    def __eq__(self, other):
-        return type(other) is type(self)
-
-    def __hash__(self):
-        return hash(self.name)
-
-
-class RationalRing:
+class RationalRing(NativeDomain):
     """Exact rationals (fractions.Fraction)."""
 
     name = "QQ"
@@ -412,27 +418,6 @@ class RationalRing:
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise DomainMismatchError("cannot coerce %r into %s" % (x, self.name))
-
-    def canon(self, a):
-        return a
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def mul_int(self, a, n):
-        return a * n
-
-    def is_zero(self, a):
-        return a == 0
 
     def is_unit(self, a):
         return a != 0
@@ -447,17 +432,8 @@ class RationalRing:
             raise ZeroDivisionError("division by zero in %s" % self.name)
         return Fraction(a) / b
 
-    def __repr__(self):
-        return self.name
 
-    def __eq__(self, other):
-        return type(other) is type(self)
-
-    def __hash__(self):
-        return hash(self.name)
-
-
-class PrimeField:
+class PrimeField(NativeDomain):
     """Integers mod a prime, represented canonically in [0, p)."""
 
     def __init__(self, p):
@@ -511,9 +487,6 @@ class PrimeField:
     def exact_div(self, a, b):
         return self.mul(a, self.invert(b))
 
-    def __repr__(self):
-        return self.name
-
     def __eq__(self, other):
         return type(other) is type(self) and other.p == self.p
 
@@ -529,7 +502,7 @@ QQ = RationalRing()
 # sparse multivariate polynomials
 
 
-class PolynomialRing:
+class PolynomialRing(NativeDomain):
     """Sparse polynomials in named variables over a scalar domain.
 
     Doubles as a coefficient domain itself, so truncated series can run over
@@ -576,28 +549,15 @@ class PolynomialRing:
         return MPoly(self, terms)
 
     def coerce(self, x):
-        if isinstance(x, MPoly):
-            if x.ring is self or x.ring == self:
-                return x
-            raise DomainMismatchError("polynomial from %s used over %s" % (x.ring.name, self.name))
+        """x itself if it lies in this ring, else the constant x of the base
+        (a scalar, or an element of a polynomial base ring); the base's
+        ``coerce`` rejects anything else with DomainMismatchError."""
+        if isinstance(x, MPoly) and (x.ring is self or x.ring == self):
+            return x
         return self.const(x)
 
-    # domain interface, so a PolynomialRing can serve as a series coefficient ring
-    def canon(self, a):
-        return self.coerce(a)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
+    # the rest of the domain interface (canon, add, sub, mul and neg are
+    # NativeDomain's), so a PolynomialRing can serve as a series coefficient ring
     def mul_int(self, a, n):
         return a.mul_int(n)
 
@@ -619,9 +579,6 @@ class PolynomialRing:
         if c is None:
             raise ExactnessError("exact division only by constant polynomials, got %s" % b)
         return a.exact_scalar_div(c)
-
-    def __repr__(self):
-        return self.name
 
     def __eq__(self, other):
         return (
@@ -704,14 +661,17 @@ class MPoly:
 
     def __add__(self, other):
         other = self._check(other)
+        if not self.terms and other.ring is self.ring:
+            return other
         base = self.ring.base
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = base.add(out.get(exp, base.zero), c)
-            if base.is_zero(s):
-                out.pop(exp, None)
-            else:
-                out[exp] = s
+            if exp in out:
+                c = base.add(out[exp], c)
+                if base.is_zero(c):
+                    del out[exp]
+                    continue
+            out[exp] = c
         return MPoly(self.ring, out, _clean=True)
 
     __radd__ = __add__
@@ -735,11 +695,12 @@ class MPoly:
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 p = bmul(c1, c2)
-                s = badd(out.get(exp, base.zero), p)
-                if bzero(s):
+                if exp in out:
+                    p = badd(out[exp], p)
+                if bzero(p):
                     out.pop(exp, None)
                 else:
-                    out[exp] = s
+                    out[exp] = p
         return MPoly(self.ring, out, _clean=True)
 
     __rmul__ = __mul__

@@ -2,14 +2,17 @@ import random
 
 import pytest
 
-from tmfkit.exactalg import ZZ, PolynomialRing, PrecisionError, TruncSeries
+from tmfkit import exactalg
+from tmfkit.exactalg import ZZ, ExactnessError, PolynomialRing, PrecisionError, TruncSeries
 from tmfkit.elliptic import (
     RouteDisagreementError,
     WeierstrassCurve,
+    _to_integral,
     a2a4_delta_discrepancy,
     curve_a1_a3,
     curve_a2_a4,
     formal_group_law,
+    formal_log,
     generic_curve,
     hasse_v1,
     integer_curve,
@@ -136,6 +139,66 @@ def test_fgl_materialized_matches_series_arguments():
                     cache[m] = cache[m - 1] * base
         total = total + (spow[i] * zpow[j]).scale(c)
     assert direct.same_to(total, 10)
+
+
+def test_fgl_table_is_a_polynomial_in_z1_z2_over_the_curve_ring():
+    curve = curve_a1_a3()
+    F = formal_group_law(curve, 6).series
+    assert F.ring.variables == ("z1", "z2") and F.ring.base is curve.ring
+    assert max(sum(e) for e in F.terms) == 6
+    assert all(c.ring is curve.ring for c in F.terms.values())
+
+
+@pytest.mark.parametrize("curve, degree", [
+    (curve_a1_a3(), 6),
+    (generic_curve(), 5),
+    (integer_curve(1, -2, 3, 0, 1), 6),
+])
+def test_verify_associative_rejects_a_non_associative_table(curve, degree):
+    fgl = formal_group_law(curve, degree)
+    F = fgl.series
+    assert fgl.verify_associative()
+    # + z1^2 z2^2 keeps F(z1, 0) = z1 and symmetry, so only the comparison
+    # of the two association orders can catch it
+    fgl._series = F + F.ring.from_terms({(2, 2): 1})
+    fgl._verify_unit_and_commutativity(fgl._series)
+    assert not fgl.verify_associative()
+    assert fgl.verify_associative(3)  # the change sits in total degree 4
+
+
+def test_group_law_forms_no_product_past_its_degree(monkeypatch):
+    degree = 7
+    fgl = formal_group_law(curve_a1_a3(), degree)
+    precs = []
+    series_mul = exactalg.series_mul
+
+    def spy(f, g):
+        out = series_mul(f, g)
+        precs.append(out.prec)
+        return out
+
+    monkeypatch.setattr(exactalg, "series_mul", spy)
+    fgl.series
+    assert precs and max(precs) == degree + 1
+    del precs[:]
+    assert fgl.verify_associative(5)
+    assert precs and max(precs) == 6
+    del precs[:]
+    z = TruncSeries.identity(fgl.curve.ring, degree + 1)
+    fgl.add_series(z, z)
+    assert precs and max(precs) == degree + 1
+
+
+def test_log_and_route_b_coefficients_live_on_the_series_ring():
+    curve = curve_a1_a3()
+    ell = formal_log(curve, 20)
+    assert len(ell.coeffs) == 21 and all(c.ring is ell.ring for c in ell.coeffs)
+    ell = formal_log(curve, 10)
+    route_b = _to_integral(ell.reversion().compose(ell.mul_int(2)), curve.ring)
+    assert route_b.ring is curve.ring
+    assert len(route_b.coeffs) == 11 and all(c.ring is curve.ring for c in route_b.coeffs)
+    with pytest.raises(ExactnessError):
+        _to_integral(ell, curve.ring)  # the logarithm itself has denominators
 
 
 def test_two_series_prefix():

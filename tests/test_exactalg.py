@@ -73,6 +73,34 @@ def test_mpoly_domain_mismatch():
         a + b
 
 
+def test_nested_ring_coerce():
+    base = PolynomialRing(("a",))
+    ring = PolynomialRing(("z",), base)
+    a, z = base.gen("a"), ring.gen("z")
+    # an element of the base ring, or a scalar, becomes a constant
+    assert ring.coerce(a).terms == {(0,): a} and ring.coerce(a).ring is ring
+    assert ring.coerce(3) == ring.const(base.const(3))
+    assert ring.coerce(z) is z
+    assert TruncSeries(ring, [0, z], 3).scale(a).coeffs == [ring.zero, z * ring.coerce(a)]
+    # a polynomial from an unrelated ring is still refused, at every level
+    for stranger in (PolynomialRing(("b",)).gen("b"), PolynomialRing(("a",), QQ).gen("a")):
+        with pytest.raises(DomainMismatchError):
+            ring.coerce(stranger)
+    for flat in (PolynomialRing(("x",)), PolynomialRing(("x",), QQ), PolynomialRing(("x",), PrimeField(5))):
+        with pytest.raises(DomainMismatchError):
+            flat.coerce(a)
+
+
+def test_scalar_domains_share_identity_methods():
+    assert (repr(ZZ), repr(QQ), repr(PrimeField(5))) == ("ZZ", "QQ", "GF(5)")
+    assert ZZ == type(ZZ)() and hash(ZZ) == hash(type(ZZ)()) and ZZ != QQ and QQ != ZZ
+    assert QQ.add(Fraction(1, 2), 1) == Fraction(3, 2) and ZZ.neg(3) == -3 and QQ.is_zero(Fraction(0))
+    assert PrimeField(5).add(3, 4) == 2 and PrimeField(5).neg(1) == 4
+    ring = PolynomialRing(("x",))
+    x = ring.gen("x")
+    assert ring.canon(x) is x and ring.mul(x, x) == x ** 2 and ring.neg(ring.sub(x, x)) == ring.zero
+
+
 def test_mpoly_substitute_and_str():
     ring = PolynomialRing(("a1", "a3"))
     a1, a3 = ring.gens()
