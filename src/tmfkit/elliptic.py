@@ -20,6 +20,7 @@ from .exactalg import (
     PolynomialRing,
     PrimeField,
     TruncSeries,
+    trimmed_product,
 )
 
 
@@ -213,10 +214,11 @@ def _w_unit(w):
     return TruncSeries(w.ring, coeffs, prec)
 
 
-def negation_series(curve, prec):
-    """The series i(z) with i(z(P)) = z(-P); starts -z - a1 z^2 - ...."""
+def negation_series(curve, prec, w=None):
+    """The series i(z) with i(z(P)) = z(-P); starts -z - a1 z^2 - ....
+    ``w`` is the curve's w-series to at least z^(prec+3), if already built."""
     ring = curve.ring
-    w = weierstrass_w(curve, prec + 3)
+    w = weierstrass_w(curve, prec + 3) if w is None else w.truncate(prec + 3)
     v = _w_unit(w).inverse()
     zv = v.shift(1)
     # x/(y + a1 x + a3) after clearing z^-3 from numerator and denominator
@@ -226,11 +228,12 @@ def negation_series(curve, prec):
     return (zv * den.inverse()).truncate(prec + 1)
 
 
-def invariant_differential(curve, prec):
+def invariant_differential(curve, prec, w=None):
     """omega(z)/dz = x'(z)/(2y + a1 x + a3), a unit series with integer-polynomial
-    coefficients; the internal division is checked exact."""
+    coefficients; the internal division is checked exact.  ``w`` is the
+    curve's w-series to at least z^(prec+3), if already built."""
     ring = curve.ring
-    w = weierstrass_w(curve, prec + 3)
+    w = weierstrass_w(curve, prec + 3) if w is None else w.truncate(prec + 3)
     v = _w_unit(w).inverse()
     zvp = v.differentiate().shift(1)
     num = v.mul_int(-2) + zvp
@@ -238,25 +241,6 @@ def invariant_differential(curve, prec):
         ring, [ring.zero] * 3 + [curve.a3], v.prec
     )
     return num.exact_div(den).truncate(prec)
-
-
-def _product(f, g, prec):
-    """f*g below z^prec for series with a precision, computing no
-    coefficient past it: each factor is needed only below prec minus the
-    other's valuation."""
-    vf, vg = f.valuation(), g.valuation()
-    if vf + vg >= prec:
-        return TruncSeries.zero(f.ring, prec)
-    return f.truncate(prec - vg) * g.truncate(prec - vf)
-
-
-def _eval_poly(coeffs, arg, one):
-    """sum coeffs[i] * arg^i by Horner, below the precision of ``one``;
-    coeffs are ring elements, low first."""
-    acc = one.scale(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = _product(acc, arg, one.prec) + one.scale(c)
-    return acc
 
 
 class FormalGroupLaw:
@@ -273,10 +257,12 @@ class FormalGroupLaw:
             raise ValueError("formal group law degree must be >= 2")
         self.curve = curve
         self.degree = degree
-        self.w = weierstrass_w(curve, degree + 3)
-        self._neg_coeffs = None
+        # the one w-series of this law, to the precision the negation series
+        # needs; the chord sum and route B's invariant differential read less
+        self.w = weierstrass_w(curve, degree + 4)
+        self._neg = None
         if not (curve.ring.is_zero(curve.a1) and curve.ring.is_zero(curve.a3)):
-            self._neg_coeffs = negation_series(curve, degree + 1).coeffs
+            self._neg = negation_series(curve, degree + 1, self.w)
         self._series = None
         self._log_exp = {}
 
@@ -287,7 +273,10 @@ class FormalGroupLaw:
         prec = one.prec
 
         def mul(f, g):
-            return _product(f, g, prec)
+            return trimmed_product(f, g, prec)
+
+        def on_args(series):  # a series over the curve ring, on the arguments' ring
+            return series if series.ring is one.ring else TruncSeries(one.ring, series.coeffs, series.prec)
 
         a1, a2, a3, a4, a6 = self.curve.coefficients()
         zero = one.scale(ring.zero)
@@ -302,7 +291,7 @@ class FormalGroupLaw:
                 lam = lam + h.scale(A[m + 1])
             if m < self.degree:
                 tpow = mul(tpow, t)
-        nu = _eval_poly(A, s, one) - mul(lam, s)
+        nu = on_args(self.w).compose(s) - mul(lam, s)
         lam2 = None
         if not (ring.is_zero(a3) and ring.is_zero(a4) and ring.is_zero(a6)):
             lam2 = mul(lam, lam)
@@ -328,9 +317,9 @@ class FormalGroupLaw:
             z3 = -(s + t + num)
         else:
             z3 = -(s + t + mul(num, den.inverse()))
-        if self._neg_coeffs is None:
+        if self._neg is None:
             return -z3  # negation is z -> -z when a1 = a3 = 0
-        return _eval_poly(self._neg_coeffs, z3, one)
+        return on_args(self._neg).compose(z3)
 
     def add_series(self, s, t):
         """F(s(z), t(z)) for univariate series with positive valuation."""
@@ -395,7 +384,7 @@ class FormalGroupLaw:
             acc = TruncSeries.zero(ring, prec)
             for (i, j), c in pairs:
                 while len(powers) <= i:
-                    powers.append(_product(powers[-1], inner, prec))
+                    powers.append(trimmed_product(powers[-1], inner, prec))
                 acc = acc + powers[i].truncate(prec - j).scale(monomial(((k, j),), c)).shift(j)
             return acc
 
@@ -435,9 +424,10 @@ def _on_ring(series, ring):
     return series.map_coeffs(ring.coerce, ring)
 
 
-def formal_log(curve, prec):
-    """Termwise integral of the invariant differential, over the rationals."""
-    omega = invariant_differential(curve, prec)
+def formal_log(curve, prec, w=None):
+    """Termwise integral of the invariant differential, over the rationals.
+    ``w`` is the curve's w-series to at least z^(prec+3), if already built."""
+    omega = invariant_differential(curve, prec, w)
     return _on_ring(omega, _rational_ring(curve.ring)).integrate()
 
 
@@ -459,7 +449,8 @@ def p_series(fgl, p, degree=None):
     Route A iterates the addition law: [m](z) = F([m-1](z), z).  Route B forms
     the logarithm by integrating the invariant differential over the rationals,
     scales by p, and applies the reversed logarithm; all denominators must
-    cancel back to integer-polynomial coefficients.
+    cancel back to integer-polynomial coefficients.  Both routes start from
+    the group law's one w-series.
     """
     if p < 1:
         raise ValueError("p-series index must be >= 1")
@@ -476,7 +467,7 @@ def p_series(fgl, p, degree=None):
     # independent route through log/exp (cached on the group law object)
     cached = fgl._log_exp.get(prec)
     if cached is None:
-        ell = formal_log(fgl.curve, prec - 1)
+        ell = formal_log(fgl.curve, prec - 1, fgl.w)
         cached = fgl._log_exp[prec] = (ell, ell.reversion())
     ell, exp = cached
     route_b_q = exp.compose(ell.mul_int(p))

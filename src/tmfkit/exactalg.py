@@ -109,14 +109,22 @@ def _pack(v, width):
     return pos - neg
 
 
+def _unpack(c, width, k):
+    """The first k slots of ``width`` bytes of c, as signed ints: a bias of
+    half a slot in each makes every slot nonnegative, so the slots unpack
+    independently with no borrow between them."""
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * k, "little")
+    raw = ((c + bias) & ((1 << (8 * width * k)) - 1)).to_bytes(width * k, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * k, width)]
+
+
 def mul_packed(a, b, n):
     """The first n coefficients of a*b for int lists, by Kronecker substitution.
 
     Each list becomes one integer with a fixed-width slot per coefficient, a
     single big-int product (Karatsuba in CPython) multiplies them, and slot k
-    of the result is coefficient k.  A bias of half a slot in each of the
-    first n slots makes every slot nonnegative, so the slots unpack
-    independently with no borrow between them.
+    of the result is coefficient k.
     """
     if n <= 0:
         return []
@@ -127,14 +135,8 @@ def mul_packed(a, b, n):
         return [0] * n
     k = min(n, len(a) + len(b) - 1)
     width = (_slot_bits(a, b, n) + 7) >> 3  # whole bytes per slot
-    s = 8 * width
     pa = _pack(a, width)
-    c = pa * (pa if square else _pack(b, width))
-    half = 1 << (s - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * k, "little")
-    raw = ((c + bias) & ((1 << (s * k)) - 1)).to_bytes(width * k, "little")
-    out = [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * k, width)]
-    return out + [0] * (n - k)
+    return _unpack(pa * (pa if square else _pack(b, width)), width, k) + [0] * (n - k)
 
 
 # Cost rule for the graded product: the layout has a slot for every exponent
@@ -169,22 +171,78 @@ def _grade(coeffs, n, weights):
     return None
 
 
-def _flatten(coeffs, lo, hi, k, weights, strides, row, rational):
-    """(flat, den): coeffs[lo:hi] as one int list, term c*x^e of z^i at slot
-    (i - lo)*row + sum(e*strides), scaled by den, the lcm of the
-    denominators; None if a term of z^i has a weight other than i + k."""
-    flat = [0] * ((hi - lo) * row)
-    for i in range(lo, hi):
-        at = (i - lo) * row
-        for e, c in coeffs[i].terms.items():
-            if sum(map(_times, e, weights)) != i + k:
-                return None
-            flat[at + sum(map(_times, e, strides))] = c
-    den = 1
-    if rational:
-        den = lcm(*{c.denominator for c in flat if c})
-        flat = [c.numerator * (den // c.denominator) for c in flat]
-    return flat, den
+def _graded_ring(zero):
+    """True for the zero of a graded ZZ[vars] or QQ[vars], whose series the
+    graded paths below may take."""
+    return type(zero) is MPoly and bool(zero.ring.weights) and type(zero.ring.base) in (IntegerRing, RationalRing)
+
+
+def _dense_enough(lists, row):
+    """The cost rule: the operands' slots, ``row`` per coefficient, number
+    at most GRADED_SLOTS_PER_TERM times their terms."""
+    slots = row * sum(map(len, lists))
+    return slots <= GRADED_SLOTS_PER_TERM * sum(len(c.terms) for coeffs in lists for c in coeffs)
+
+
+class _Layout:
+    """Integer slots for the terms of homogeneous polynomials over a graded
+    ZZ[vars] or QQ[vars] of weight at most ``top``: a row of ``row`` slots
+    per coefficient.  The lowest-weight variable x_d gets no digit, because
+    its exponent follows from the weight; every other exponent e_j is a digit
+    of width top // w_j + 1, so no digit of a term of weight <= top carries
+    into the next."""
+
+    def __init__(self, ring, top):
+        weights = ring.weights
+        self.ring, self.weights = ring, weights
+        self.rational = type(ring.base) is RationalRing
+        self.d = weights.index(min(weights))
+        self.top = top
+        self.strides, self.row = [0] * ring.nvars, 1
+        for j, w in enumerate(weights):
+            if j != self.d:
+                self.strides[j] = self.row
+                self.row *= top // w + 1
+        self.decode = None
+
+    def flatten(self, coeffs, lo, hi, k):
+        """(flat, den): coeffs[lo:hi] as one int list, term c*x^e of z^i at
+        slot (i - lo)*row + sum(e*strides), scaled by den, the lcm of the
+        denominators; None if a term of z^i has a weight other than i + k."""
+        weights, strides, row = self.weights, self.strides, self.row
+        hi = min(hi, len(coeffs))
+        flat = [0] * ((hi - lo) * row)
+        for i in range(lo, hi):
+            at = (i - lo) * row
+            for e, c in coeffs[i].terms.items():
+                if sum(map(_times, e, weights)) != i + k:
+                    return None
+                flat[at + sum(map(_times, e, strides))] = c
+        den = 1
+        if self.rational:
+            den = lcm(*{c.denominator for c in flat if c})
+            flat = [c.numerator * (den // c.denominator) for c in flat]
+        return flat, den
+
+    def poly(self, slots, weight, den):
+        """The polynomial of the given weight whose coefficients, times den,
+        sit in one row of slots; x_d's exponent comes back from the weight."""
+        ring, d, weights = self.ring, self.d, self.weights
+        if self.decode is None:  # the other exponents of each slot of a row, and their weight
+            self.decode = []
+            for r in range(self.row):
+                e = [r // s % (self.top // w + 1) if s else 0 for s, w in zip(self.strides, weights)]
+                self.decode.append((e, sum(map(_times, e, weights))))
+        wd = weights[d]
+        terms = {}
+        for r, c in enumerate(slots):
+            if c:
+                e, w = self.decode[r]
+                e[d], rest = divmod(weight - w, wd)
+                if rest or e[d] < 0:
+                    raise InternalError("graded layout lost the %s exponent (bug)" % ring.variables[d])
+                terms[tuple(e)] = Fraction(c, den) if self.rational else c
+        return MPoly(ring, terms, _clean=True) if terms else ring.zero
 
 
 def mul_graded(a, b, n, zero):
@@ -194,24 +252,20 @@ def mul_graded(a, b, n, zero):
 
     A list is homogeneous if, for one k, every term of its z^i coefficient
     has weight i + k; the w-series, chord-sum, log/exp and composition
-    series of a Weierstrass curve all are (|a_i| = i, |z| = -1).  Then the
-    exponent of the lowest-weight variable x_d follows from i and the other
-    exponents, so each list becomes one int list with a slot per z^i and
-    other exponents (``_flatten``), and the integer ``mul_coeffs`` (packed
-    or schoolbook by its own rule) multiplies the two.  An output term of
-    z^i, i < n, has weight at most top = n - 1 + ka + kb, so its exponent
-    e_j is at most top // w_j: digits of that width plus one never carry
-    into the next digit, or into a kept z^i.  x_d's exponent comes back
-    from the weight.  QQ lists are scaled to integers by the lcm of their
-    denominators first.
+    series of a Weierstrass curve all are (|a_i| = i, |z| = -1).  Then each
+    list becomes one int list with a slot per z^i and monomial
+    (``_Layout``), and the integer ``mul_coeffs`` (packed or schoolbook by
+    its own rule) multiplies the two.  An output term of z^i, i < n, has
+    weight at most top = n - 1 + ka + kb, which the layout holds, and the
+    terms of z^i >= n that carry out of their row land past every kept
+    slot.  QQ lists are scaled to integers by the lcm of their denominators
+    first.
     """
-    ring = zero.ring
-    rational = type(ring.base) is RationalRing
-    if not rational and type(ring.base) is not IntegerRing:
+    if not _graded_ring(zero):
         return None
     if n <= 0:
         return []
-    weights = ring.weights
+    weights = zero.ring.weights
     ga = _grade(a, n, weights)
     gb = ga if b is a else _grade(b, n, weights)
     if ga is None or gb is None:
@@ -220,42 +274,87 @@ def mul_graded(a, b, n, zero):
     top = n - 1 + ka + kb
     if n <= va + vb or top < 0:
         return [zero] * n
-    d = weights.index(min(weights))
-    strides, row = [0] * ring.nvars, 1
-    for j, w in enumerate(weights):
-        if j != d:
-            strides[j] = row
-            row *= top // w + 1
+    layout = _Layout(zero.ring, top)
     # terms of a at z^i, i >= n - vb, reach no kept output (and likewise b)
-    ha, hb = min(len(a), n - vb), min(len(b), n - va)
-    nterms = sum(len(c.terms) for c in a[va:ha]) + sum(len(c.terms) for c in b[vb:hb])
-    if (ha - va + hb - vb) * row > GRADED_SLOTS_PER_TERM * nterms:
+    square = b is a
+    a = a[va:n - vb]
+    b = a if square else b[vb:n - va]
+    if not _dense_enough((a, b), layout.row):
         return None
-    fa = _flatten(a, va, ha, ka, weights, strides, row, rational)
-    fb = fa if b is a else _flatten(b, vb, hb, kb, weights, strides, row, rational)
+    fa = layout.flatten(a, 0, len(a), ka + va)
+    fb = fa if square else layout.flatten(b, 0, len(b), kb + vb)
     if fa is None or fb is None:
         return None
     (fa, da), (fb, db) = fa, fb
+    row = layout.row
     prod = mul_coeffs(fa, fb, (n - va - vb) * row, 0)
-    # the other exponents of each slot of a row, and their weight
-    decode = []
-    for r in range(row):
-        e = [r // s % (top // w + 1) if s else 0 for s, w in zip(strides, weights)]
-        decode.append((e, sum(map(_times, e, weights))))
-    wd, den = weights[d], da * db
-    out = [zero] * n
+    out = [zero] * (va + vb)
     for i in range(va + vb, n):
         at = (i - va - vb) * row
-        terms = {}
-        for r, c in enumerate(prod[at:at + row]):
-            if c:
-                e, w = decode[r]
-                e[d], rest = divmod(i + ka + kb - w, wd)
-                if rest or e[d] < 0:
-                    raise InternalError("graded product lost the %s exponent (bug)" % ring.variables[d])
-                terms[tuple(e)] = Fraction(c, den) if rational else c
-        if terms:
-            out[i] = MPoly(ring, terms, _clean=True)
+        out.append(layout.poly(prod[at:at + row], i + ka + kb, da * db))
+    return out
+
+
+def takes_graded(coeffs, n, zero):
+    """True if ``mul_graded`` multiplies this list by itself below z^n: a
+    homogeneous list over a graded ZZ[vars] or QQ[vars] that passes the
+    cost rule.  Newton division runs only where this holds; elsewhere the
+    triangular ``div_coeffs`` is cheaper."""
+    if not _graded_ring(zero):
+        return False
+    grade = _grade(coeffs, n, zero.ring.weights)
+    if grade is None:
+        return False
+    v, k = grade
+    layout = _Layout(zero.ring, max(n - 1 + 2 * k, 0))
+    coeffs = coeffs[v:n - v]
+    return _dense_enough((coeffs,), layout.row) and layout.flatten(coeffs, 0, len(coeffs), k + v) is not None
+
+
+def compose_blocks(coeffs, gpow, prec, zero):
+    """The block sums sum_r coeffs[j*b + r] * gpow[r] below z^prec of a
+    baby-step giant-step composition f(g) (b = len(gpow), gpow[r] the
+    coefficients of g^r, j = 0, 1, ...), as coefficient lists; None unless
+    the ring is a graded ZZ[vars] or QQ[vars], f is homogeneous, g has
+    offset -1 (|g| = |z|), and the layout passes the cost rule.
+
+    Every baby step is packed once into a big integer on one ``_Layout``;
+    each coefficient is packed as a single row, so a block sum is b
+    big-integer multiply-adds, unpacked once.  Block j's z^i coefficient
+    has weight i + kf + j*b (kf the offset of f), at most top below.  QQ
+    baby steps share the lcm of their denominators; each block's
+    coefficients are cleared by their own.
+    """
+    if not _graded_ring(zero):
+        return None
+    ring, b = zero.ring, len(gpow)
+    nblocks = -(-len(coeffs) // b)
+    kf = _grade(coeffs, len(coeffs), ring.weights)[1]
+    layout = _Layout(ring, max(prec - 1 + kf + (nblocks - 1) * b, prec - 1))
+    row = layout.row
+    if not _dense_enough(gpow + [coeffs], row):
+        return None
+    flat_f = [layout.flatten(coeffs, j * b, (j + 1) * b, kf) for j in range(nblocks)]
+    flat_g = [layout.flatten(p, 0, prec, -r) for r, p in enumerate(gpow)]
+    if None in flat_f or None in flat_g:
+        return None
+    den_g = lcm(*(den for _, den in flat_g))
+    flat_g = [flat if den == den_g else [c * (den_g // den) for c in flat] for flat, den in flat_g]
+    # a slot of a block sum adds at most one product per term of the block's coefficients
+    most = max(sum(len(c.terms) for c in coeffs[j * b:(j + 1) * b]) for j in range(nblocks))
+    bits = max(c.bit_length() for flat, _ in flat_f for c in flat) + most.bit_length() + 1
+    width = (bits + max(c.bit_length() for flat in flat_g for c in flat) + 7) >> 3
+    packed_g = [_pack(flat, width) if flat else 0 for flat in flat_g]
+    out = []
+    for j, (flat, den) in enumerate(flat_f):
+        total = 0
+        for r in range(len(flat) // row):
+            piece = flat[r * row:(r + 1) * row]
+            if any(piece):
+                total += _pack(piece, width) * packed_g[r]
+        slots = _unpack(total, width, prec * row)
+        weight = kf + j * b
+        out.append([layout.poly(slots[i * row:(i + 1) * row], i + weight, den * den_g) for i in range(prec)])
     return out
 
 
@@ -651,11 +750,9 @@ class MPoly:
     # -- arithmetic
 
     def _check(self, other):
-        if isinstance(other, MPoly):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise DomainMismatchError(
-                    "mixed polynomial domains: %s vs %s" % (self.ring.name, other.ring.name)
-                )
+        """other as an element of this ring, as ``PolynomialRing.coerce``
+        takes it: a scalar or an element of the base ring becomes a constant."""
+        if isinstance(other, MPoly) and (other.ring is self.ring or other.ring == self.ring):
             return other
         return self.ring.coerce(other)
 
@@ -743,11 +840,6 @@ class MPoly:
     def reduce_mod(self, p):
         """Image in the same variables over GF(p)."""
         ring = PolynomialRing(self.ring.variables, PrimeField(p), self.ring.weights)
-        return MPoly(ring, dict(self.terms))
-
-    def to_base(self, new_base):
-        """Move to the same variables over another scalar domain, exactly."""
-        ring = PolynomialRing(self.ring.variables, new_base, self.ring.weights)
         return MPoly(ring, dict(self.terms))
 
     # -- comparison / display
@@ -943,6 +1035,8 @@ class TruncSeries:
             prec = max(len(self.coeffs), 1)
         ring = self.ring
         d0 = den.coeffs[0]
+        if ring.is_unit(d0) and takes_graded(den.coeffs, prec, ring.zero):
+            return trimmed_product(self, _inverse_newton(den, ring.invert(d0), prec), prec)
         num = self.coeffs + [ring.zero] * prec
         out = div_coeffs(num, den.coeffs, prec, lambda acc: ring.exact_div(acc, d0))
         return TruncSeries(ring, out, prec)
@@ -950,34 +1044,39 @@ class TruncSeries:
     def compose(self, g):
         """self(g(z)); g must have zero constant term.
 
-        Baby-step giant-step: with block size b, only O(b + n/b) full series
-        products are needed; the per-block sums are coefficient scalings.
+        Baby-step giant-step (Paterson-Stockmeyer): with block size b, only
+        O(b + n/b) series products are needed, each cut below the result's
+        precision.  The block sums run as big-integer multiply-adds
+        (``compose_blocks``) over a graded ZZ[vars] or QQ[vars], and as
+        coefficient scalings everywhere else.
         """
         g = self._check(g)
-        if g.coeffs and not self.ring.is_zero(g.known(0)):
+        ring = self.ring
+        if g.coeffs and not ring.is_zero(g.known(0)):
             raise ValueError("composition requires the inner series to vanish at 0")
         prec = _min_prec(self.prec, g.prec)
         if prec is None:
             prec = max(len(self.coeffs) + len(g.coeffs), 1)
-        coeffs = self.coeffs[: prec if prec else None]
+        coeffs = self.truncate(prec).coeffs
         if not coeffs:
-            return TruncSeries(self.ring, [], prec)
-        g = g.truncate(prec)
+            return TruncSeries(ring, [], prec)
         block = max(1, int(len(coeffs) ** 0.5))
-        gpow = [TruncSeries.one(self.ring, prec)]
+        gpow = [TruncSeries.one(ring, prec)]
         for _ in range(block - 1):
-            gpow.append(series_mul(gpow[-1], g).truncate(prec))
-        giant = series_mul(gpow[-1], g).truncate(prec)  # g^block
-        nblocks = -(-len(coeffs) // block)
-        acc = TruncSeries(self.ring, [], prec)
-        for j in range(nblocks - 1, -1, -1):
-            part = TruncSeries(self.ring, [], prec)
-            for r in range(min(block, len(coeffs) - j * block)):
-                c = coeffs[j * block + r]
-                if not self.ring.is_zero(c):
-                    part = part + gpow[r].scale(c)
-            acc = series_mul(acc, giant).truncate(prec) + part
-        return acc.truncate(prec)
+            gpow.append(trimmed_product(gpow[-1], g, prec))
+        giant = trimmed_product(gpow[-1], g, prec)  # g^block
+        sums = compose_blocks(coeffs, [p.coeffs for p in gpow], prec, ring.zero)
+        acc = TruncSeries(ring, [], prec)
+        for j in range(-(-len(coeffs) // block) - 1, -1, -1):
+            if sums is None:
+                part = TruncSeries(ring, [], prec)
+                for r, c in enumerate(coeffs[j * block:(j + 1) * block]):
+                    if not ring.is_zero(c):
+                        part = part + gpow[r].scale(c)
+            else:
+                part = TruncSeries(ring, sums[j], prec)
+            acc = trimmed_product(acc, giant, prec) + part
+        return acc
 
     def differentiate(self):
         mi = self.ring.mul_int
@@ -1060,16 +1159,42 @@ def series_mul(f, g):
     return TruncSeries(f.ring, mul_coeffs(f.coeffs, g.coeffs, n, f.ring.zero), prec)
 
 
+def trimmed_product(f, g, prec):
+    """f*g below z^prec, computing no coefficient at or past it: each factor
+    is needed only below prec minus the other's valuation."""
+    vf, vg = f.valuation(), g.valuation()
+    if vf is None or vg is None or vf + vg >= prec:
+        return TruncSeries.zero(f.ring, prec)
+    return series_mul(f.truncate(prec - vg), g.truncate(prec - vf))
+
+
 def series_inverse(f):
-    """Multiplicative inverse; the lowest-order coefficient must be a unit."""
+    """Multiplicative inverse; the lowest-order coefficient must be a unit.
+
+    Newton iteration on graded products where ``takes_graded`` holds, the
+    triangular ``div_coeffs`` everywhere else.
+    """
     ring = f.ring
     if not f.coeffs or ring.is_zero(f.coeffs[0]):
         raise ExactnessError("series inverse requires a unit constant term")
     c0 = ring.invert(f.coeffs[0])
     prec = f.prec if f.prec is not None else max(len(f.coeffs), 1)
+    if takes_graded(f.coeffs, prec, ring.zero):
+        return _inverse_newton(f, c0, prec)
     num = [ring.one] + [ring.zero] * (prec - 1)
     out = div_coeffs(num, f.coeffs, prec, lambda acc: ring.mul(acc, c0))
     return TruncSeries(ring, out, prec)
+
+
+def _inverse_newton(f, c0, prec):
+    """1/f below z^prec, given c0 = 1/f(0): h -> h - h*(f*h - 1) doubles the
+    number of correct coefficients of h."""
+    h, k = TruncSeries(f.ring, [c0], 1), 1
+    while k < prec:
+        k = min(2 * k, prec)
+        h = TruncSeries(f.ring, h.coeffs, k)
+        h = h - trimmed_product(h, trimmed_product(f, h, k) - 1, k)
+    return h
 
 
 def series_reversion(f):
@@ -1094,7 +1219,7 @@ def series_reversion(f):
         g = TruncSeries(ring, g.coeffs, k)
         fg = f.truncate(k).compose(g)
         resid = fg - z.truncate(k)
-        # f'(g) = (f(g))' / g', avoiding a second composition
-        deriv = fg.differentiate().exact_div(g.differentiate().truncate(k - 1))
-        g = g - series_mul(resid, series_inverse(deriv)).truncate(k)
+        # 1/f'(g) = g' / (f(g))', avoiding a second composition
+        step = g.differentiate().truncate(k - 1).exact_div(fg.differentiate())
+        g = g - trimmed_product(resid, step, k)
     return g.truncate(prec)

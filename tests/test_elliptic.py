@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tmfkit import exactalg
+from tmfkit import elliptic, exactalg
 from tmfkit.exactalg import ZZ, ExactnessError, PolynomialRing, PrecisionError, TruncSeries
 from tmfkit.elliptic import (
     RouteDisagreementError,
@@ -187,6 +187,45 @@ def test_group_law_forms_no_product_past_its_degree(monkeypatch):
     z = TruncSeries.identity(fgl.curve.ring, degree + 1)
     fgl.add_series(z, z)
     assert precs and max(precs) == degree + 1
+
+
+def test_compose_scales_no_coefficient_on_the_special_curves(monkeypatch):
+    # both routes compose (route A for nu and the negation, route B for
+    # exp(p*log) and inside the reversion); on the special curves every
+    # block sum is a big-integer multiply-add, on the generic curve a scaling
+    inside, scales = [], []
+    compose, scale = TruncSeries.compose, TruncSeries.scale
+
+    def spy_compose(self, g):
+        inside.append(self)
+        try:
+            return compose(self, g)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(TruncSeries, "compose", spy_compose)
+    monkeypatch.setattr(TruncSeries, "scale", lambda self, c: scales.append(bool(inside)) or scale(self, c))
+    for curve, p in ((curve_a1_a3(), 2), (curve_a2_a4(), 3)):
+        ell = formal_log(curve, 12)
+        del scales[:]
+        ell.reversion().compose(ell.mul_int(p))
+        assert not scales
+        p_series(formal_group_law(curve, 12), p, 12)
+        assert not any(scales)
+    ell = formal_log(generic_curve(), 6)
+    del scales[:]
+    ell.reversion().compose(ell.mul_int(2))
+    assert scales and all(scales)
+
+
+def test_one_p_series_request_builds_one_w_series(monkeypatch):
+    precs = []
+    weierstrass_w = elliptic.weierstrass_w
+    monkeypatch.setattr(elliptic, "weierstrass_w", lambda curve, prec: precs.append(prec) or weierstrass_w(curve, prec))
+    for curve, p in ((curve_a1_a3(), 2), (curve_a2_a4(), 3), (generic_curve(), 2)):
+        del precs[:]
+        p_series(formal_group_law(curve, 8), p, 8)
+        assert precs == [12]
 
 
 def test_log_and_route_b_coefficients_live_on_the_series_ring():

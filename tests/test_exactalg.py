@@ -81,7 +81,7 @@ def test_nested_ring_coerce():
     assert ring.coerce(a).terms == {(0,): a} and ring.coerce(a).ring is ring
     assert ring.coerce(3) == ring.const(base.const(3))
     assert ring.coerce(z) is z
-    assert TruncSeries(ring, [0, z], 3).scale(a).coeffs == [ring.zero, z * ring.coerce(a)]
+    assert TruncSeries(ring, [0, z], 3).scale(a).coeffs == [ring.zero, z * a]
     # a polynomial from an unrelated ring is still refused, at every level
     for stranger in (PolynomialRing(("b",)).gen("b"), PolynomialRing(("a",), QQ).gen("a")):
         with pytest.raises(DomainMismatchError):
@@ -559,9 +559,12 @@ def test_graded_product_declines_a_sparse_layout(graded_calls):
 
 
 def test_graded_product_carries_weights_through_base_changes():
+    from tmfkit.elliptic import _rational_ring
+
     ring = PolynomialRing(("x", "y"), ZZ, (2, 3))
     p = ring.gen("x")
-    assert p.to_base(QQ).ring.weights == p.reduce_mod(5).ring.weights == (2, 3)
+    assert _rational_ring(ring).weights == p.reduce_mod(5).ring.weights == (2, 3)
+    assert _rational_ring(ring).base == QQ
     # weights are not part of a ring's identity
     assert PolynomialRing(("x", "y")) == ring and hash(PolynomialRing(("x", "y"))) == hash(ring)
     with pytest.raises(ValueError):
@@ -592,3 +595,179 @@ def test_p_series_takes_the_graded_path_in_both_routes(graded_calls, monkeypatch
         assert bases == {type(ZZ), type(QQ)}
         assert all(taken for _, taken in graded_calls)
     assert not polynomial_schoolbook
+
+
+def test_mpoly_takes_base_ring_elements_as_constants():
+    base = PolynomialRing(("a",))
+    ring = PolynomialRing(("z",), base)
+    a, z = base.gen("a"), ring.gen("z")
+    assert z * a == z * ring.coerce(a) and (z * a).terms == {(1,): a}
+    assert z + a == ring.from_terms({(1,): base.one, (0,): a})
+    assert z - a == z + ring.coerce(-a) and (z + a).ring is ring
+    for stranger in (PolynomialRing(("b",)).gen("b"), PolynomialRing(("a",), QQ).gen("a")):
+        for op in (lambda: z * stranger, lambda: z + stranger, lambda: z - stranger):
+            with pytest.raises(DomainMismatchError):
+                op()
+
+
+# ---------------------------------------------------------------------------
+# the graded compose, Newton inverse and unit exact_div against the plain
+# paths: the same series over the same variables without weights never take
+# a graded path
+
+
+def _monomials(weights, weight):
+    """The exponent pairs of the given weight over two variables."""
+    wx, wy = weights
+    if weight < 0:
+        return []
+    return [(ex, (weight - wx * ex) // wy) for ex in range(weight // wx + 1) if (weight - wx * ex) % wy == 0]
+
+
+@st.composite
+def graded_series(draw, ring, k, unit=False):
+    """A series over ``ring`` whose z^i coefficient is homogeneous of weight
+    i + k, with whole zero coefficients among them; coefficients up to 40
+    bits, of one sign or mixed (one sign fills the packed slots most); with
+    ``unit``, its coefficient of weight 0 (z^-k) is a unit constant."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    rational = ring.base == QQ
+    bits = draw(st.integers(1, 40))
+    sign = draw(st.sampled_from((1, -1, None)))  # None: mixed signs
+
+    def coeff():
+        c = rng.getrandbits(bits) * (sign or rng.choice((1, -1)))
+        return Fraction(c, rng.randint(1, 6)) if rational else c
+
+    coeffs = []
+    for i in range(draw(st.integers(1, 14))):
+        monos = [] if rng.random() < 0.2 else _monomials(ring.weights, i + k)
+        coeffs.append(ring.from_terms({e: coeff() for e in monos}))
+    if unit:
+        coeffs += [ring.zero] * (1 - k - len(coeffs))
+        c = rng.choice((1, -1))
+        coeffs[-k] = ring.const(Fraction(c * rng.randint(1, 5), rng.randint(1, 5)) if rational else c)
+    prec = draw(st.one_of(st.none(), st.integers(len(coeffs) - k, len(coeffs) + 3)))
+    return TruncSeries(ring, coeffs, prec)
+
+
+def _unweighted(f):
+    """f over the same variables and base without weights."""
+    ring = PolynomialRing(f.ring.variables, f.ring.base)
+    return f.map_coeffs(lambda c: ring.from_terms(c.terms), ring)
+
+
+def _same_series(got, want):
+    assert got == want
+    assert [type(c) for p in got.coeffs for c in p.terms.values()] == \
+        [type(c) for p in want.coeffs for c in p.terms.values()]
+
+
+@pytest.fixture
+def graded_paths(monkeypatch):
+    """(path, ring, taken) for every call of the graded block sums and of
+    Newton division, and (div_coeffs, ring, True) for the triangular one."""
+    calls = []
+    blocks, newton, div = exactalg.compose_blocks, exactalg._inverse_newton, exactalg.div_coeffs
+
+    def spy_blocks(coeffs, gpow, prec, zero):
+        out = blocks(coeffs, gpow, prec, zero)
+        calls.append(("compose_blocks", zero.ring, out is not None))
+        return out
+
+    def spy_newton(f, c0, prec):
+        calls.append(("newton", f.ring, True))
+        return newton(f, c0, prec)
+
+    def spy_div(num, den, n, d):
+        calls.append(("div_coeffs", None, True))
+        return div(num, den, n, d)
+
+    monkeypatch.setattr(exactalg, "compose_blocks", spy_blocks)
+    monkeypatch.setattr(exactalg, "_inverse_newton", spy_newton)
+    monkeypatch.setattr(exactalg, "div_coeffs", spy_div)
+    return calls
+
+
+GRADED_RINGS = [PolynomialRing(("a1", "a3"), ZZ, (1, 3)), PolynomialRing(("a2", "a4"), QQ, (2, 4))]
+
+
+def _paths(calls, ring):
+    return {path for path, r, taken in calls if taken and r is ring}
+
+
+@pytest.mark.parametrize("ring", GRADED_RINGS, ids=["Z[a1,a3]", "Q[a2,a4]"])
+def test_graded_compose_matches_plain_compose(ring, graded_paths):
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(graded_series(ring, -1), st.integers(-3, 3), st.data())
+    def check(g, kf, data):
+        # g has offset -1, like z, so its z^0 coefficient (weight -1) is zero
+        f = data.draw(graded_series(ring, kf))
+        want = _unweighted(f).compose(_unweighted(g))
+        _same_series(f.compose(g), want)
+
+    check()
+    assert "compose_blocks" in _paths(graded_paths, ring)
+
+
+@pytest.mark.parametrize("ring", GRADED_RINGS, ids=["Z[a1,a3]", "Q[a2,a4]"])
+def test_graded_reversion_inverse_and_unit_division_match_plain(ring, graded_paths):
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(graded_series(ring, -1, unit=True), graded_series(ring, 0, unit=True), st.integers(-3, 3), st.data())
+    def check(f, u, k, data):
+        _same_series(series_reversion(f), series_reversion(_unweighted(f)))
+        _same_series(series_inverse(u), series_inverse(_unweighted(u)))
+        num = data.draw(graded_series(ring, k))
+        _same_series(num.exact_div(u), _unweighted(num).exact_div(_unweighted(u)))
+
+    check()
+    assert {"compose_blocks", "newton"} <= _paths(graded_paths, ring)
+    plain = {path for path, r, taken in graded_paths if r is not ring}
+    assert "div_coeffs" in plain and "newton" not in plain
+
+
+def test_non_homogeneous_series_fall_back_to_the_plain_paths(graded_paths):
+    ring = GRADED_RINGS[0]
+    a1, a3 = ring.gens()
+    f = TruncSeries(ring, [0, 1, a1, a1 * a1 + a3, a3], 6)  # homogeneous, offset -1
+    bad = f + TruncSeries(ring, [0, 0, 0, a1], 6)  # a1 at z^3 has weight 1, not 2
+    u = TruncSeries(ring, [1, a1, a3], 5) + TruncSeries(ring, [0, 0, a1 * a3])
+    for got, want in (
+        (bad.compose(f), _unweighted(bad).compose(_unweighted(f))),
+        (f.compose(bad), _unweighted(f).compose(_unweighted(bad))),
+        (series_reversion(bad), series_reversion(_unweighted(bad))),
+        (series_inverse(u), series_inverse(_unweighted(u))),
+        (f.exact_div(u), _unweighted(f).exact_div(_unweighted(u))),
+    ):
+        _same_series(got, want)
+    assert not _paths(graded_paths, ring) - {"compose_blocks"}
+    assert ("compose_blocks", ring, False) in graded_paths
+    assert not exactalg.takes_graded(u.coeffs, 5, ring.zero)
+
+
+def test_generic_curve_composes_on_the_plain_path(graded_paths):
+    # five variables fill the compose layout too sparsely: the cost rule
+    # declines it (short products, and so Newton division, may still pass)
+    from tmfkit.elliptic import formal_log, generic_curve
+
+    ell = formal_log(generic_curve(), 8)
+    plain = _unweighted(ell)
+    _same_series(series_reversion(ell), series_reversion(plain))
+    _same_series(series_reversion(ell).compose(ell.mul_int(2)), series_reversion(plain).compose(plain.mul_int(2)))
+    _same_series(series_inverse(ell.differentiate()), series_inverse(plain.differentiate()))
+    assert "compose_blocks" not in _paths(graded_paths, ell.ring)
+    assert ("compose_blocks", ell.ring, False) in graded_paths
+
+
+def test_trimmed_product_of_an_exact_zero():
+    f = TruncSeries(ZZ, [1, 2, 3])
+    for zero in (TruncSeries.zero(ZZ), TruncSeries.zero(ZZ, 5)):
+        assert exactalg.trimmed_product(zero, f, 5) == TruncSeries.zero(ZZ, 5)
+        assert exactalg.trimmed_product(f, zero, 5) == TruncSeries.zero(ZZ, 5)
+    # a zero known below z^2 times a unit is known below z^2 only
+    assert exactalg.trimmed_product(TruncSeries.zero(ZZ, 2), f, 5) == TruncSeries.zero(ZZ, 2)
+    assert exactalg.trimmed_product(f, f, 3) == TruncSeries(ZZ, [1, 4, 10], 3)
+    ring = GRADED_RINGS[1]
+    u = TruncSeries(ring, [1, 0, ring.gen("a2")])
+    for zero in (TruncSeries.zero(ring), TruncSeries.zero(ring, 4)):
+        _same_series(zero.exact_div(u), _unweighted(zero).exact_div(_unweighted(u)))
