@@ -24,13 +24,14 @@ EXIT_INTERNAL = 4
 DEFAULT_PRECISION = 50
 # largest fgl-pseries degree, which is also its default.  Seconds for the
 # command's work in process (group law, p-series by both routes, and for
-# p = 3 the v1 check), best of three, CPython 3.11 on a 2-vCPU VM, before
-# and after the packed compose and Newton division; as a subprocess,
-# degree 30 takes 0.36 s (p = 2) and 0.32 s (p = 3):
+# p = 3 the v1 check), best of three, median of five alternating processes,
+# CPython 3.11 on a 2-vCPU VM, before and after the packed compose; as a
+# subprocess, degree 30 takes 0.88 -> 0.37 s (p = 2) and 0.32 -> 0.22 s
+# (p = 3):
 #
 #    curve, p     degree 30        degree 40
-#    a1a3,  2    0.83 -> 0.28     2.75 -> 0.70
-#    a2a4,  3    0.21 -> 0.13     0.70 -> 0.31
+#    a1a3,  2    0.85 -> 0.28     2.94 -> 0.98
+#    a2a4,  3    0.22 -> 0.13     0.73 -> 0.31
 #
 # Degree 40 now costs about what degree 30 did; raising the cap would also
 # change the default output, so it stays at 30.

@@ -5,9 +5,10 @@ Every value is exact (machine ints, Fractions, or polynomials over those);
 nothing in the package ever rounds.
 """
 
+import re
 from fractions import Fraction
 from math import lcm
-from operator import mul as _times
+from operator import itemgetter, mul as _times
 
 
 class DomainMismatchError(TypeError):
@@ -109,14 +110,35 @@ def _pack(v, width):
     return pos - neg
 
 
-def _unpack(c, width, k):
-    """The first k slots of ``width`` bytes of c, as signed ints: a bias of
-    half a slot in each makes every slot nonnegative, so the slots unpack
-    independently with no borrow between them."""
-    half = 1 << (8 * width - 1)
+def _biased(c, width, k):
+    """(raw, bias): the first k slots of ``width`` bytes of c plus a bias of
+    half a slot in each, as bytes, and the bias.  The bias makes every slot
+    nonnegative, so the slots unpack independently with no borrow between
+    them."""
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * k, "little")
-    raw = ((c + bias) & ((1 << (8 * width * k)) - 1)).to_bytes(width * k, "little")
+    return ((c + bias) & ((1 << (8 * width * k)) - 1)).to_bytes(width * k, "little"), bias
+
+
+def _unpack(c, width, k):
+    """The first k slots of ``width`` bytes of c, as signed ints."""
+    raw, _ = _biased(c, width, k)
+    half = 1 << (8 * width - 1)
     return [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * k, width)]
+
+
+_NONZERO_BYTES = re.compile(b"[^\x00]+")
+
+
+def _nonzero_slots(c, width, k):
+    """(i, value) for the nonzero slots among the first k of c, as by
+    ``_unpack``; a slot is nonzero where its biased bytes differ from the
+    bias, and the regex finds those bytes without a Python step per slot."""
+    raw, bias = _biased(c, width, k)
+    half, last = 1 << (8 * width - 1), -1
+    for m in _NONZERO_BYTES.finditer((int.from_bytes(raw, "little") ^ bias).to_bytes(width * k, "little")):
+        for i in range(max(m.start() // width, last + 1), (m.end() - 1) // width + 1):
+            yield i, int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
+        last = (m.end() - 1) // width
 
 
 def mul_packed(a, b, n):
@@ -224,25 +246,27 @@ class _Layout:
             flat = [c.numerator * (den // c.denominator) for c in flat]
         return flat, den
 
-    def poly(self, slots, weight, den):
-        """The polynomial of the given weight whose coefficients, times den,
-        sit in one row of slots; x_d's exponent comes back from the weight."""
-        ring, d, weights = self.ring, self.d, self.weights
+    def polys(self, slots, nrows, weight, den):
+        """The nrows polynomials whose coefficients, times den, sit in
+        consecutive rows of slots, given as (slot, value) for the nonzero
+        ones, row t of weight ``weight + t``; x_d's exponent comes back from
+        the weight."""
+        ring, d, weights, row = self.ring, self.d, self.weights, self.row
         if self.decode is None:  # the other exponents of each slot of a row, and their weight
             self.decode = []
-            for r in range(self.row):
+            for r in range(row):
                 e = [r // s % (self.top // w + 1) if s else 0 for s, w in zip(self.strides, weights)]
                 self.decode.append((e, sum(map(_times, e, weights))))
         wd = weights[d]
-        terms = {}
-        for r, c in enumerate(slots):
-            if c:
-                e, w = self.decode[r]
-                e[d], rest = divmod(weight - w, wd)
-                if rest or e[d] < 0:
-                    raise InternalError("graded layout lost the %s exponent (bug)" % ring.variables[d])
-                terms[tuple(e)] = Fraction(c, den) if self.rational else c
-        return MPoly(ring, terms, _clean=True) if terms else ring.zero
+        rows = [{} for _ in range(nrows)]
+        for at, c in slots:
+            t, r = divmod(at, row)
+            e, w = self.decode[r]
+            e[d], rest = divmod(weight + t - w, wd)
+            if rest or e[d] < 0:
+                raise InternalError("graded layout lost the %s exponent (bug)" % ring.variables[d])
+            rows[t][tuple(e)] = Fraction(c, den) if self.rational else c
+        return [MPoly(ring, terms, _clean=True) if terms else ring.zero for terms in rows]
 
 
 def mul_graded(a, b, n, zero):
@@ -286,29 +310,9 @@ def mul_graded(a, b, n, zero):
     if fa is None or fb is None:
         return None
     (fa, da), (fb, db) = fa, fb
-    row = layout.row
-    prod = mul_coeffs(fa, fb, (n - va - vb) * row, 0)
-    out = [zero] * (va + vb)
-    for i in range(va + vb, n):
-        at = (i - va - vb) * row
-        out.append(layout.poly(prod[at:at + row], i + ka + kb, da * db))
-    return out
-
-
-def takes_graded(coeffs, n, zero):
-    """True if ``mul_graded`` multiplies this list by itself below z^n: a
-    homogeneous list over a graded ZZ[vars] or QQ[vars] that passes the
-    cost rule.  Newton division runs only where this holds; elsewhere the
-    triangular ``div_coeffs`` is cheaper."""
-    if not _graded_ring(zero):
-        return False
-    grade = _grade(coeffs, n, zero.ring.weights)
-    if grade is None:
-        return False
-    v, k = grade
-    layout = _Layout(zero.ring, max(n - 1 + 2 * k, 0))
-    coeffs = coeffs[v:n - v]
-    return _dense_enough((coeffs,), layout.row) and layout.flatten(coeffs, 0, len(coeffs), k + v) is not None
+    prod = enumerate(mul_coeffs(fa, fb, (n - va - vb) * layout.row, 0))
+    out = layout.polys(filter(itemgetter(1), prod), n - va - vb, va + vb + ka + kb, da * db)
+    return [zero] * (va + vb) + out
 
 
 def compose_blocks(coeffs, gpow, prec, zero):
@@ -320,8 +324,10 @@ def compose_blocks(coeffs, gpow, prec, zero):
 
     Every baby step is packed once into a big integer on one ``_Layout``;
     each coefficient is packed as a single row, so a block sum is b
-    big-integer multiply-adds, unpacked once.  Block j's z^i coefficient
-    has weight i + kf + j*b (kf the offset of f), at most top below.  QQ
+    big-integer multiply-adds, decoded once, and only at its nonzero slots
+    (most slots of the low rows are zero, since the layout is sized for the
+    last block).  Block j's z^i coefficient has weight i + kf + j*b (kf the
+    offset of f), at most top below.  QQ
     baby steps share the lcm of their denominators; each block's
     coefficients are cleared by their own.
     """
@@ -342,8 +348,8 @@ def compose_blocks(coeffs, gpow, prec, zero):
     flat_g = [flat if den == den_g else [c * (den_g // den) for c in flat] for flat, den in flat_g]
     # a slot of a block sum adds at most one product per term of the block's coefficients
     most = max(sum(len(c.terms) for c in coeffs[j * b:(j + 1) * b]) for j in range(nblocks))
-    bits = max(c.bit_length() for flat, _ in flat_f for c in flat) + most.bit_length() + 1
-    width = (bits + max(c.bit_length() for flat in flat_g for c in flat) + 7) >> 3
+    bits = max(max(map(int.bit_length, flat)) for flat, _ in flat_f) + most.bit_length() + 1
+    width = (bits + max(max(map(int.bit_length, flat), default=0) for flat in flat_g) + 7) >> 3
     packed_g = [_pack(flat, width) if flat else 0 for flat in flat_g]
     out = []
     for j, (flat, den) in enumerate(flat_f):
@@ -352,9 +358,7 @@ def compose_blocks(coeffs, gpow, prec, zero):
             piece = flat[r * row:(r + 1) * row]
             if any(piece):
                 total += _pack(piece, width) * packed_g[r]
-        slots = _unpack(total, width, prec * row)
-        weight = kf + j * b
-        out.append([layout.poly(slots[i * row:(i + 1) * row], i + weight, den * den_g) for i in range(prec)])
+        out.append(layout.polys(_nonzero_slots(total, width, prec * row), prec, kf + j * b, den * den_g))
     return out
 
 
@@ -1035,8 +1039,6 @@ class TruncSeries:
             prec = max(len(self.coeffs), 1)
         ring = self.ring
         d0 = den.coeffs[0]
-        if ring.is_unit(d0) and takes_graded(den.coeffs, prec, ring.zero):
-            return trimmed_product(self, _inverse_newton(den, ring.invert(d0), prec), prec)
         num = self.coeffs + [ring.zero] * prec
         out = div_coeffs(num, den.coeffs, prec, lambda acc: ring.exact_div(acc, d0))
         return TruncSeries(ring, out, prec)
@@ -1169,32 +1171,15 @@ def trimmed_product(f, g, prec):
 
 
 def series_inverse(f):
-    """Multiplicative inverse; the lowest-order coefficient must be a unit.
-
-    Newton iteration on graded products where ``takes_graded`` holds, the
-    triangular ``div_coeffs`` everywhere else.
-    """
+    """Multiplicative inverse; the lowest-order coefficient must be a unit."""
     ring = f.ring
     if not f.coeffs or ring.is_zero(f.coeffs[0]):
         raise ExactnessError("series inverse requires a unit constant term")
     c0 = ring.invert(f.coeffs[0])
     prec = f.prec if f.prec is not None else max(len(f.coeffs), 1)
-    if takes_graded(f.coeffs, prec, ring.zero):
-        return _inverse_newton(f, c0, prec)
     num = [ring.one] + [ring.zero] * (prec - 1)
     out = div_coeffs(num, f.coeffs, prec, lambda acc: ring.mul(acc, c0))
     return TruncSeries(ring, out, prec)
-
-
-def _inverse_newton(f, c0, prec):
-    """1/f below z^prec, given c0 = 1/f(0): h -> h - h*(f*h - 1) doubles the
-    number of correct coefficients of h."""
-    h, k = TruncSeries(f.ring, [c0], 1), 1
-    while k < prec:
-        k = min(2 * k, prec)
-        h = TruncSeries(f.ring, h.coeffs, k)
-        h = h - trimmed_product(h, trimmed_product(f, h, k) - 1, k)
-    return h
 
 
 def series_reversion(f):

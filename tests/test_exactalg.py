@@ -417,6 +417,21 @@ def test_mul_packed_edge_cases():
     assert mul_packed(a, a, 6) == [9, -6, 25, -8, 16, 0]
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.lists(st.sampled_from((-1, 0, 0, 1)), min_size=1, max_size=40),
+       st.integers(0, 2 ** 32 - 1))
+def test_nonzero_slots_are_the_nonzero_unpacked_slots(width, signs, seed):
+    # slot values with zero bytes inside (1 + 2^16 has a zero byte between
+    # two nonzero ones) split one slot into several runs of nonzero bytes
+    rng = random.Random(seed)
+    edge = [1, 256, 1 + 2 ** 16, 2 ** (8 * width - 1) - 1]
+    v = [s * rng.choice([e for e in edge if e < 2 ** (8 * width - 1)] + [rng.getrandbits(8 * width - 1)])
+         for s in signs]
+    packed, k = exactalg._pack(v, width), len(v) + rng.randint(0, 3)
+    assert exactalg._unpack(packed, width, k) == v + [0] * (k - len(v))
+    assert list(exactalg._nonzero_slots(packed, width, k)) == [(i, x) for i, x in enumerate(v) if x]
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_DOMAINS))
 def test_mul_coeffs_other_domains_unchanged(name, packed_calls):
     # long enough to pass the length rule, so only the domain keeps them off
@@ -611,9 +626,9 @@ def test_mpoly_takes_base_ring_elements_as_constants():
 
 
 # ---------------------------------------------------------------------------
-# the graded compose, Newton inverse and unit exact_div against the plain
-# paths: the same series over the same variables without weights never take
-# a graded path
+# the graded compose, and the reversion, inverse and unit exact_div around
+# it, against the plain paths: the same series over the same variables
+# without weights never take a graded path
 
 
 def _monomials(weights, weight):
@@ -664,40 +679,29 @@ def _same_series(got, want):
 
 
 @pytest.fixture
-def graded_paths(monkeypatch):
-    """(path, ring, taken) for every call of the graded block sums and of
-    Newton division, and (div_coeffs, ring, True) for the triangular one."""
+def block_sums(monkeypatch):
+    """(ring, taken) for every call of the graded block sums."""
     calls = []
-    blocks, newton, div = exactalg.compose_blocks, exactalg._inverse_newton, exactalg.div_coeffs
+    blocks = exactalg.compose_blocks
 
-    def spy_blocks(coeffs, gpow, prec, zero):
+    def spy(coeffs, gpow, prec, zero):
         out = blocks(coeffs, gpow, prec, zero)
-        calls.append(("compose_blocks", zero.ring, out is not None))
+        calls.append((zero.ring, out is not None))
         return out
 
-    def spy_newton(f, c0, prec):
-        calls.append(("newton", f.ring, True))
-        return newton(f, c0, prec)
-
-    def spy_div(num, den, n, d):
-        calls.append(("div_coeffs", None, True))
-        return div(num, den, n, d)
-
-    monkeypatch.setattr(exactalg, "compose_blocks", spy_blocks)
-    monkeypatch.setattr(exactalg, "_inverse_newton", spy_newton)
-    monkeypatch.setattr(exactalg, "div_coeffs", spy_div)
+    monkeypatch.setattr(exactalg, "compose_blocks", spy)
     return calls
 
 
 GRADED_RINGS = [PolynomialRing(("a1", "a3"), ZZ, (1, 3)), PolynomialRing(("a2", "a4"), QQ, (2, 4))]
 
 
-def _paths(calls, ring):
-    return {path for path, r, taken in calls if taken and r is ring}
+def _taken(calls, ring):
+    return any(taken for r, taken in calls if r is ring)
 
 
 @pytest.mark.parametrize("ring", GRADED_RINGS, ids=["Z[a1,a3]", "Q[a2,a4]"])
-def test_graded_compose_matches_plain_compose(ring, graded_paths):
+def test_graded_compose_matches_plain_compose(ring, block_sums):
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(graded_series(ring, -1), st.integers(-3, 3), st.data())
     def check(g, kf, data):
@@ -707,11 +711,11 @@ def test_graded_compose_matches_plain_compose(ring, graded_paths):
         _same_series(f.compose(g), want)
 
     check()
-    assert "compose_blocks" in _paths(graded_paths, ring)
+    assert _taken(block_sums, ring)
 
 
 @pytest.mark.parametrize("ring", GRADED_RINGS, ids=["Z[a1,a3]", "Q[a2,a4]"])
-def test_graded_reversion_inverse_and_unit_division_match_plain(ring, graded_paths):
+def test_graded_reversion_inverse_and_unit_division_match_plain(ring, block_sums):
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(graded_series(ring, -1, unit=True), graded_series(ring, 0, unit=True), st.integers(-3, 3), st.data())
     def check(f, u, k, data):
@@ -721,12 +725,11 @@ def test_graded_reversion_inverse_and_unit_division_match_plain(ring, graded_pat
         _same_series(num.exact_div(u), _unweighted(num).exact_div(_unweighted(u)))
 
     check()
-    assert {"compose_blocks", "newton"} <= _paths(graded_paths, ring)
-    plain = {path for path, r, taken in graded_paths if r is not ring}
-    assert "div_coeffs" in plain and "newton" not in plain
+    assert _taken(block_sums, ring)
+    assert not any(taken for r, taken in block_sums if r is not ring)
 
 
-def test_non_homogeneous_series_fall_back_to_the_plain_paths(graded_paths):
+def test_non_homogeneous_series_fall_back_to_the_plain_paths(block_sums):
     ring = GRADED_RINGS[0]
     a1, a3 = ring.gens()
     f = TruncSeries(ring, [0, 1, a1, a1 * a1 + a3, a3], 6)  # homogeneous, offset -1
@@ -740,14 +743,12 @@ def test_non_homogeneous_series_fall_back_to_the_plain_paths(graded_paths):
         (f.exact_div(u), _unweighted(f).exact_div(_unweighted(u))),
     ):
         _same_series(got, want)
-    assert not _paths(graded_paths, ring) - {"compose_blocks"}
-    assert ("compose_blocks", ring, False) in graded_paths
-    assert not exactalg.takes_graded(u.coeffs, 5, ring.zero)
+    assert (ring, False) in block_sums
 
 
-def test_generic_curve_composes_on_the_plain_path(graded_paths):
+def test_generic_curve_composes_on_the_plain_path(block_sums):
     # five variables fill the compose layout too sparsely: the cost rule
-    # declines it (short products, and so Newton division, may still pass)
+    # declines it (short products may still pass)
     from tmfkit.elliptic import formal_log, generic_curve
 
     ell = formal_log(generic_curve(), 8)
@@ -755,8 +756,8 @@ def test_generic_curve_composes_on_the_plain_path(graded_paths):
     _same_series(series_reversion(ell), series_reversion(plain))
     _same_series(series_reversion(ell).compose(ell.mul_int(2)), series_reversion(plain).compose(plain.mul_int(2)))
     _same_series(series_inverse(ell.differentiate()), series_inverse(plain.differentiate()))
-    assert "compose_blocks" not in _paths(graded_paths, ell.ring)
-    assert ("compose_blocks", ell.ring, False) in graded_paths
+    assert not _taken(block_sums, ell.ring)
+    assert (ell.ring, False) in block_sums
 
 
 def test_trimmed_product_of_an_exact_zero():
