@@ -21,9 +21,9 @@ listed in; this is validated at parse time, as is bidegree homogeneity of
 every rule and seed.
 """
 
+import os
 import re
 from dataclasses import dataclass
-from importlib import resources
 from math import gcd, lcm
 
 from .exactalg import InternalError, format_terms
@@ -310,8 +310,7 @@ class E2Presentation:
                  "tmf-p3": "tmf_p3.txt", "p3": "tmf_p3.txt"}.get(name)
         if fname is None:
             raise ValueError("unknown built-in presentation %r" % name)
-        text = resources.files("tmfkit.presentations").joinpath(fname).read_text()
-        return cls.parse(text)
+        return cls.from_file(os.path.join(os.path.dirname(__file__), "presentations", fname))
 
     @classmethod
     def from_file(cls, path):

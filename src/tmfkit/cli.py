@@ -1,5 +1,8 @@
 """Command-line front end.
 
+Each subcommand imports its own domain module when it runs, so a start-up
+loads only the layer that command needs.
+
 Exit codes: 0 success, 1 usage error (including a size above a documented
 cap), 2 computation error (precision, non-integrality, bad presentation),
 3 negative mathematical verdict (non-member, failed identity check), 4
@@ -8,12 +11,9 @@ broke: a bug in tmfkit, not in the input).
 """
 
 import argparse
-import json
 import sys
 
-from . import anss, elliptic, modforms, moonshine, qseries
-from .exactalg import ExactnessError, InternalError, PrecisionError
-from .modforms import C4, C6, DELTA, DecompositionError, HomogeneityError, MFPolynomial
+from .exactalg import InternalError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,9 +36,9 @@ DEFAULT_PRECISION = 50
 # Degree 40 now costs about what degree 30 did; raising the cap would also
 # change the default output, so it stays at 30.
 FGL_MAX_DEGREE = 30
-# largest genfun-check N: N = 250 takes about 5 s on a 2-vCPU VM, and the
-# cost (N products and an O(N^3) elimination, both on growing integers)
-# rises faster than N^3 beyond it
+# largest genfun-check N: N = 250 takes about 8 s as a subprocess on a 2-vCPU
+# VM (median of three, 7.4-8.1 s), and the cost (N products and an O(N^3)
+# elimination, both on growing integers) rises faster than N^3 beyond it
 GENFUN_MAX_N = 250
 
 
@@ -135,12 +135,14 @@ class FormParser:
         return value
 
     def atom(self):
+        from . import modforms
+
         kind, val = self.next()
         if kind == "int":
-            return MFPolynomial({(0, 0, 0): val})
+            return modforms.MFPolynomial({(0, 0, 0): val})
         if kind == "name":
             try:
-                return {"c4": C4, "c6": C6, "Delta": DELTA}[val]
+                return {"c4": modforms.C4, "c6": modforms.C6, "Delta": modforms.DELTA}[val]
             except KeyError:
                 raise UsageError("unknown symbol %r (expected c4, c6, Delta)" % val) from None
         if kind == "op" and val == "(":
@@ -153,6 +155,8 @@ class FormParser:
 
 
 def parse_form(text):
+    from .modforms import HomogeneityError
+
     form = FormParser(text).parse()
     if not form.is_homogeneous() or (form.weight is None and form.terms):
         raise HomogeneityError("form expression mixes weights: %s" % form)
@@ -165,6 +169,8 @@ def parse_form(text):
 
 def emit(args, command, inputs, result, certificate=None):
     if args.format == "json":
+        import json
+
         payload = {"command": command, "inputs": inputs, "result": result}
         if certificate is not None:
             payload["certificate"] = certificate
@@ -182,6 +188,8 @@ def text_lines(*lines):
 
 
 def cmd_qexp(args):
+    from . import qseries
+
     name = args.series
     N = args.precision
     series = {
@@ -197,6 +205,8 @@ def cmd_qexp(args):
 
 
 def cmd_jn(args):
+    from . import moonshine
+
     poly, expansion = moonshine.faber_jn(args.n, args.precision)
     if args.format == "text":
         text_lines(str(poly), "q-expansion: %s" % expansion)
@@ -210,6 +220,8 @@ def cmd_jn(args):
 
 
 def cmd_hecke(args):
+    from . import moonshine
+
     j1 = moonshine.j1_qexp(args.precision)
     image = moonshine.hecke_weight0(j1, args.n)
     if args.format == "text":
@@ -219,6 +231,8 @@ def cmd_hecke(args):
 
 
 def cmd_tmf_member(args):
+    from . import modforms
+
     form = parse_form(args.expression)
     cert = modforms.tmf_image_test(form)
     if args.format == "text":
@@ -235,6 +249,8 @@ def cmd_tmf_member(args):
 
 
 def cmd_witten(args):
+    from . import moonshine
+
     form = moonshine.witten_form(args.n)
     cert = moonshine.witten_generalized(args.n)
     if args.format == "text":
@@ -251,6 +267,8 @@ def cmd_witten(args):
 
 
 def cmd_prize(args):
+    from . import modforms, moonshine, qseries
+
     N = args.precision
     form = moonshine.prize_form()
     lhs = modforms.mf_to_qexp(form, N)
@@ -292,6 +310,8 @@ def cmd_prize(args):
 def cmd_genfun_check(args):
     if args.N > GENFUN_MAX_N:
         raise UsageError("genfun-check N is capped at %d, got %d" % (GENFUN_MAX_N, args.N))
+    from . import moonshine
+
     report = moonshine.genfun_check(args.N)
     if args.format == "text":
         text_lines(
@@ -308,6 +328,8 @@ def cmd_genfun_check(args):
 
 
 def cmd_curve_invariants(args):
+    from . import elliptic
+
     values = [args.a1, args.a2, args.a3, args.a4, args.a6]
     names = ("a1", "a2", "a3", "a4", "a6")
     symbols = []
@@ -351,6 +373,8 @@ def cmd_fgl_pseries(args):
         raise UsageError(
             "fgl-pseries degree is capped at %d, got --precision %d" % (FGL_MAX_DEGREE, degree)
         )
+    from . import elliptic
+
     curve = elliptic.curve_a2_a4() if p == 3 else elliptic.curve_a1_a3()
     fgl = elliptic.formal_group_law(curve, degree)
     series = elliptic.p_series(fgl, p, degree)
@@ -391,6 +415,8 @@ def cmd_fgl_pseries(args):
 
 
 def cmd_anss_survivors(args):
+    from . import anss
+
     if args.presentation:
         pres = anss.E2Presentation.from_file(args.presentation)
     else:
@@ -542,8 +568,9 @@ def main(argv=None):
     except InternalError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
-    except (PrecisionError, ExactnessError, DecompositionError, HomogeneityError,
-            anss.PresentationError, ValueError, ArithmeticError) as exc:
+    # every domain error (PrecisionError, ExactnessError, DecompositionError,
+    # HomogeneityError, anss.PresentationError) subclasses one of these two
+    except (ValueError, ArithmeticError) as exc:
         print("computation error: %s" % exc, file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -1,8 +1,10 @@
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+from tmfkit import anss
 from tmfkit.anss import (
     E2Presentation,
     PresentationError,
@@ -27,6 +29,20 @@ def test_builtin_p3_shape():
     assert len(pres.generators) == 5
     assert len(pres.rules) + len(pres.torsion_rules) == 8
     assert len(pres.seeds) == 1 and pres.seeds[0].page == 5
+
+
+@pytest.mark.parametrize("name, fname", [
+    ("p2", "tmf_p2.txt"), ("tmf-p2", "tmf_p2.txt"), ("p3", "tmf_p3.txt"), ("tmf-p3", "tmf_p3.txt"),
+])
+def test_builtin_aliases_read_the_shipped_files(name, fname):
+    shipped = Path(anss.__file__).with_name("presentations") / fname
+    want = E2Presentation.parse(shipped.read_text(encoding="utf-8"))
+    assert vars(E2Presentation.builtin(name)) == vars(want)
+
+
+def test_builtin_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown built-in presentation"):
+        E2Presentation.builtin("p5")
 
 
 def test_builtin_p2_shape():

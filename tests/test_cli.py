@@ -1,7 +1,9 @@
 import json
 
-from tmfkit import cli, elliptic, modforms, moonshine, qseries
-from tmfkit.exactalg import InternalError, MPoly
+import pytest
+
+from tmfkit import anss, cli, elliptic, modforms, moonshine, qseries
+from tmfkit.exactalg import ExactnessError, InternalError, MPoly, PrecisionError
 from tmfkit.modforms import MFPolynomial
 from tmfkit.moonshine import JPolynomial
 from tmfkit.qseries import QExpansion
@@ -135,6 +137,23 @@ def test_bug_errors_are_internal_errors(capsys, monkeypatch):
     # a computation error on the input keeps its own code
     code, _, err = run(capsys, "genfun-check", "0")
     assert code == 2 and err.startswith("computation error:")
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (PrecisionError, 2, "computation error"),
+    (ExactnessError, 2, "computation error"),
+    (modforms.DecompositionError, 2, "computation error"),
+    (modforms.HomogeneityError, 2, "computation error"),
+    (anss.PresentationError, 2, "computation error"),
+    (InternalError, 4, "internal error"),
+    (elliptic.RouteDisagreementError, 4, "internal error"),
+], ids=lambda x: x.__name__ if isinstance(x, type) else None)
+def test_domain_errors_keep_their_exit_codes(capsys, monkeypatch, error, code, prefix):
+    def fail(args):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "cmd_jn", fail)
+    assert run(capsys, "jn", "2") == (code, "", "%s: planted\n" % prefix)
 
 
 def test_hecke_command(capsys):
@@ -271,6 +290,11 @@ def test_anss_presentation_override(tmp_path, capsys):
     )
     code, _, err = run(capsys, "anss-survivors", "p3", "2", "--presentation", str(bad))
     assert code == 2 and "computation error" in err
+
+    broken = tmp_path / "broken.txt"
+    broken.write_text("prime 3\ngen a stem=3 filt=1 order=3\nrel a^2 0\n")  # no "->"
+    code, _, err = run(capsys, "anss-survivors", "p3", "2", "--presentation", str(broken))
+    assert code == 2 and err.startswith("computation error: line 3")
 
 
 def test_usage_errors(capsys):

@@ -9,6 +9,9 @@ formats.  Regenerate it only when an output change is intended:
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from tmfkit import cli, exactalg
 
 CORPUS = Path(__file__).with_name("golden_cli.json")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 INVOCATIONS = [
     ["qexp", "c4", "--precision", "12"],
@@ -93,3 +97,61 @@ def test_large_invocations_take_the_packed_product(monkeypatch, argv):
     monkeypatch.setattr(exactalg, "mul_packed", lambda *args: calls.append(1) or packed(*args))
     run_main(argv)
     assert calls
+
+
+# the domain modules each subcommand's start-up loads, and no others
+DOMAIN = {"tmfkit.qseries", "tmfkit.modforms", "tmfkit.moonshine", "tmfkit.elliptic", "tmfkit.anss"}
+MODULAR = {"tmfkit.qseries", "tmfkit.modforms", "tmfkit.moonshine"}
+COMMAND_LAYERS = {
+    "qexp": {"tmfkit.qseries"},
+    "jn": MODULAR,
+    "hecke": MODULAR,
+    "tmf-member": {"tmfkit.qseries", "tmfkit.modforms"},
+    "witten": MODULAR,
+    "prize": MODULAR,
+    "genfun-check": MODULAR,
+    "curve-invariants": {"tmfkit.elliptic"},
+    "fgl-pseries": {"tmfkit.elliptic"},
+    "anss-survivors": {"tmfkit.anss"},
+}
+
+
+def start_up_argvs():
+    """The first invocation of each subcommand, in text and JSON in turn."""
+    first = {}
+    for argv in INVOCATIONS:
+        first.setdefault(argv[0], argv)
+    return [["--format", ("text", "json")[i % 2]] + argv for i, argv in enumerate(first.values())]
+
+
+def start(args):
+    """A fresh ``python -X importtime`` on args, as an uncached install runs it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.Popen([sys.executable, "-X", "importtime"] + args, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def finish(proc):
+    """(exit code, stdout bytes, names of the modules the process imported)."""
+    out, err = proc.communicate(timeout=120)
+    names = {line.rsplit("|", 1)[1].strip()
+             for line in err.decode().splitlines() if line.startswith("import time:")}
+    return proc.returncode, out, names
+
+
+def test_start_up_loads_only_the_command_layer(corpus):
+    """Each subcommand as a real ``python -m tmfkit`` start-up: its golden
+    stdout bytes and exit code, and no domain module it does not use."""
+    argvs = start_up_argvs()
+    assert sorted(argv[2] for argv in argvs) == sorted(COMMAND_LAYERS)
+    procs = [start(["-c", "pass"]), start(["-c", "import tmfkit.cli"])]
+    procs += [start(["-m", "tmfkit"] + argv) for argv in argvs]
+    (_, _, baseline), (code, _, names), *runs = map(finish, procs)
+    assert code == 0
+    added = names - baseline
+    assert "tmfkit.cli" in added
+    assert not added & (DOMAIN | {"json", "importlib.resources"})
+    for argv, (code, out, names) in zip(argvs, runs):
+        record = corpus[tuple(argv)]
+        assert (code, out) == (record["exit"], record["stdout"].encode("utf-8")), argv
+        assert (names - baseline) & DOMAIN == COMMAND_LAYERS[argv[2]], argv
