@@ -9,7 +9,8 @@ from math import gcd
 
 from . import qseries
 from .exactalg import format_terms, power
-from .qseries import QExpansion
+# _EXPANSION_CACHE is qseries' own dict, re-exported for readers of modforms
+from .qseries import _EXPANSION_CACHE, QExpansion  # noqa: F401
 
 
 class HomogeneityError(ValueError):
@@ -195,20 +196,11 @@ def mf_normal_form(p):
     return MFPolynomial(out, p.weight)
 
 
-_EXPANSION_CACHE = {}
-
-
 def _base_expansion(name, prec):
-    cached = _EXPANSION_CACHE.get(name)
-    if cached is None or cached.prec < prec:
-        if name == "c4":
-            cached = qseries.eisenstein(4, prec)
-        elif name == "c6":
-            cached = qseries.eisenstein(6, prec)
-        else:
-            cached = qseries.discriminant_qexp(prec)
-        _EXPANSION_CACHE[name] = cached
-    return cached.truncate(prec)
+    """c4, c6 or Delta to precision prec, served from ``qseries._EXPANSION_CACHE``."""
+    if name == "delta":
+        return qseries.discriminant_qexp(prec)
+    return qseries.eisenstein({"c4": 4, "c6": 6}[name], prec)
 
 
 def monomial_qexp(i, j, k, prec):

@@ -49,6 +49,8 @@ class QExpansion:
 
     @staticmethod
     def _canon(c):
+        if type(c) is int:
+            return c
         if isinstance(c, Fraction):
             if c.denominator == 1:
                 return int(c)
@@ -90,7 +92,8 @@ class QExpansion:
         return self.val, self.prec
 
     def truncate(self, prec):
-        return QExpansion(self.val, self.coeffs, min(self.prec, prec))
+        prec = min(self.prec, prec)
+        return QExpansion(self.val, self.coeffs[: max(prec - self.val, 0)], prec)
 
     # -- arithmetic
 
@@ -243,6 +246,19 @@ def sigma(k, n):
     return total
 
 
+# The longest expansion of c4, c6, Delta (Eisenstein route) and j computed so
+# far, by name.  Requests at or below an entry's precision get a fresh
+# truncation of it; a longer request replaces the entry.
+_EXPANSION_CACHE = {}
+
+
+def _cached(name, N, build):
+    entry = _EXPANSION_CACHE.get(name)
+    if entry is None or entry.prec < N:
+        entry = _EXPANSION_CACHE[name] = build(N)
+    return entry.truncate(N)
+
+
 def eisenstein(weight, N):
     """Normalized Eisenstein series of weight 4 or 6 to precision N."""
     if N < 1:
@@ -253,8 +269,11 @@ def eisenstein(weight, N):
         scale, k = -504, 5
     else:
         raise ValueError("unsupported Eisenstein weight %r (need 4 or 6)" % (weight,))
-    coeffs = [1] + [scale * sigma(k, n) for n in range(1, N)]
-    return QExpansion(0, coeffs, N)
+
+    def build(N):
+        return QExpansion(0, [1] + [scale * sigma(k, n) for n in range(1, N)], N)
+
+    return _cached("c%d" % weight, N, build)
 
 
 def euler_product(N):
@@ -277,17 +296,22 @@ def euler_product(N):
     return QExpansion(0, coeffs, N)
 
 
+def _c4_cubed_and_delta(N):
+    """c4^3 and Delta = (c4^3 - c6^2)/1728 to precision N, from one c4^3, with
+    the division checked exact."""
+    c4_cubed = eisenstein(4, N) ** 3
+    return c4_cubed, (c4_cubed - eisenstein(6, N) ** 2).exact_scalar_div(1728)
+
+
 def discriminant_qexp(N):
     """Delta = (c4^3 - c6^2)/1728 to precision N, with the division checked exact."""
     if N < 1:
         raise ValueError("precision must be >= 1")
-    c4 = eisenstein(4, N)
-    c6 = eisenstein(6, N)
-    return (c4 ** 3 - c6 ** 2).exact_scalar_div(1728)
+    return _cached("delta", N, lambda N: _c4_cubed_and_delta(N)[1])
 
 
 def discriminant_eta_product(N):
-    """Delta = q * prod(1-q^n)^24 to precision N (the independent route)."""
+    """Delta = q * prod(1-q^n)^24 to precision N (the independent route, never cached)."""
     if N < 1:
         raise ValueError("precision must be >= 1")
     if N == 1:
@@ -304,8 +328,9 @@ def j_qexp(N):
     """
     if N < 1:
         raise ValueError("precision must be >= 1")
-    pad = N + 2
-    c4 = eisenstein(4, pad)
-    delta = discriminant_qexp(pad)
-    j = (c4 ** 3).exact_div(delta)
-    return j.truncate(N)
+
+    def build(N):
+        c4_cubed, delta = _c4_cubed_and_delta(N + 2)
+        return c4_cubed.exact_div(delta)  # precision N
+
+    return _cached("j", N, build)

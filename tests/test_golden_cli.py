@@ -90,6 +90,15 @@ def test_golden_cli(corpus, argv):
     assert stdout == record["stdout"]
 
 
+def test_warm_cache_replay_matches_the_corpus(corpus):
+    """Every record in one process, forward and then in reverse, so each runs
+    after the expansion cache has been warmed by the others."""
+    records = list(corpus.values())
+    assert len(records) == 46
+    for record in records + records[::-1]:
+        assert run_main(record["argv"]) == (record["exit"], record["stdout"]), record["argv"]
+
+
 @pytest.mark.parametrize("argv", PACKED_INVOCATIONS, ids=" ".join)
 def test_large_invocations_take_the_packed_product(monkeypatch, argv):
     calls = []

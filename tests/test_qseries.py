@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmfkit import qseries
 from tmfkit.exactalg import ExactnessError, PrecisionError
@@ -128,3 +131,66 @@ def test_qexpansion_theta():
 def test_qexpansion_serialization_round_trip():
     f = qseries.j_qexp(6)
     assert QExpansion.from_dict(f.to_dict()) == f
+
+
+def test_qexpansion_coefficients_must_be_exact():
+    f = QExpansion(0, [Fraction(4, 2), Fraction(1, 3), 5])
+    assert f.coeffs == [2, Fraction(1, 3), 5] and type(f.coeffs[0]) is int
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(TypeError):
+            QExpansion(0, [1, bad])
+
+
+def test_cold_j_qexp_forms_c4_cubed_once(monkeypatch):
+    calls = []
+    mul = qseries.mul_coeffs
+    monkeypatch.setattr(qseries, "mul_coeffs", lambda *args: calls.append(1) or mul(*args))
+    j = qseries.j_qexp(300)
+    assert len(calls) == 3  # c4^2, c4^2 * c4 and c6^2
+    assert qseries.j_qexp(200) == j.truncate(200)
+    assert len(calls) == 3  # served from the cache
+
+
+# the cached requests by the cache key they read, and the uncached eta route
+CACHE_CALLS = {
+    "c4": lambda N: qseries.eisenstein(4, N),
+    "c6": lambda N: qseries.eisenstein(6, N),
+    "delta": qseries.discriminant_qexp,
+    "j": qseries.j_qexp,
+    "eta": qseries.discriminant_eta_product,
+}
+
+
+def test_expansion_cache_serves_what_a_cold_call_computes(monkeypatch):
+    cache = qseries._EXPANSION_CACHE
+    euler_calls = []
+    euler = qseries.euler_product
+    monkeypatch.setattr(qseries, "euler_product", lambda N: euler_calls.append(N) or euler(N))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(CACHE_CALLS)), st.integers(1, 120)),
+                    min_size=1, max_size=12))
+    def check(steps):
+        cache.clear()
+        for name, N in steps:
+            call = CACHE_CALLS[name]
+            entry = cache.get(name)
+            before = len(euler_calls)
+            got = call(N)
+            if name == "eta":
+                assert len(euler_calls) == before + (N > 1)  # computed every time
+            else:
+                assert cache[name].prec >= N
+                if entry is not None and entry.prec >= N:
+                    assert cache[name] is entry  # no rebuild below the entry's precision
+            assert set(cache) <= {"c4", "c6", "delta", "j"}
+            warm = dict(cache)
+            cache.clear()
+            cold = call(N)
+            cache.clear()
+            cache.update(warm)
+            assert got == cold
+            got.coeffs.insert(0, 7)  # a caller's edit stays its own
+            assert call(N) == cold
+
+    check()
