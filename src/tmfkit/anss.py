@@ -13,12 +13,15 @@ Presentation file format (line-oriented, ``#`` comments, blank lines ignored):
     d 5 Delta -> alpha beta^2
     d 7 4*Delta -> kbar eta^3 transfer=quarter
 
-A ``rel`` left side is an optional positive integer times a monomial; the
-right side is an integer polynomial in the generators.  Monomials multiply
-space- or ``*``-separated generator powers.  Rule orientation must strictly
-decrease the lexicographic monomial order induced by the order generators are
-listed in; this is validated at parse time, as is bidegree homogeneity of
-every rule and seed.
+Every ``gen`` line comes before the first ``rel`` or ``d`` line, and no name
+is declared twice.  Both sides of ``->`` are integer polynomials in the
+generators, read by ``exactalg.parse_expression`` (the grammar ``tmf-member``
+reads): ``+``, ``-``, ``*`` or juxtaposition, ``^`` with an integer exponent,
+and parentheses.  A left side must come to a positive integer times a
+monomial.  Rule orientation must strictly decrease the lexicographic monomial
+order induced by the order generators are listed in; this is validated at
+parse time, as is bidegree homogeneity of every rule and seed.  Errors name
+the line, and a syntax error the column counted from the start of the line.
 """
 
 import os
@@ -26,7 +29,7 @@ import re
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .exactalg import InternalError, format_terms
+from .exactalg import ExpressionError, InternalError, PolynomialRing, format_terms, parse_expression
 
 
 class PresentationError(ValueError):
@@ -71,105 +74,27 @@ class DifferentialSeed:
     transfer: str = None
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[\^*+-]))")
+_HEAD = re.compile(r"\s*(\S+)\s*")
+_PAGE = re.compile(r"(\d+)\s+")
+_TRANSFER = re.compile(r"\btransfer=(\w+)\s*$")
 
 
-class _ExprParser:
-    """Integer polynomials in the presentation's generators."""
+def _expression_scope(generators):
+    """The polynomial ring in the generators' names, and its generators by name."""
+    ring = PolynomialRing([g.name for g in generators])
+    return ring, dict(zip(ring.variables, ring.gens()))
 
-    def __init__(self, pres, text, line):
-        self.pres = pres
-        self.text = text
-        self.line = line
-        self.pos = 0
-        self.tokens = []
-        while True:
-            m = _TOKEN.match(text, self.pos)
-            if not m:
-                break
-            self.pos = m.end()
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-        if text[self.pos:].strip():
-            raise PresentationError(
-                "unexpected character %r" % text[self.pos:].lstrip()[0],
-                self.line,
-                len(text) - len(text[self.pos:].lstrip()) + 1,
-            )
-        self.idx = 0
 
-    def _peek(self):
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else (None, None, len(self.text))
-
-    def _next(self):
-        tok = self._peek()
-        self.idx += 1
-        return tok
-
-    def parse_polynomial(self):
-        terms = {}
-        sign = 1
-        kind, val, col = self._peek()
-        if kind == "op" and val in "+-":
-            self._next()
-            sign = -1 if val == "-" else 1
-        while True:
-            coeff, mono = self._term()
-            coeff *= sign
-            key = tuple(mono)
-            new = terms.get(key, 0) + coeff
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-            kind, val, col = self._peek()
-            if kind is None:
-                return terms
-            if kind == "op" and val in "+-":
-                self._next()
-                sign = -1 if val == "-" else 1
-            else:
-                raise PresentationError("expected + or - before %r" % val, self.line, col + 1)
-
-    def _term(self):
-        coeff = 1
-        expo = [0] * len(self.pres.generators)
-        kind, val, col = self._peek()
-        if kind == "int":
-            self._next()
-            coeff = int(val)
-            kind, val, col = self._peek()
-            if kind == "op" and val == "*":
-                self._next()
-                kind, val, col = self._peek()
-        saw_gen = False
-        while True:
-            kind, val, col = self._peek()
-            if kind != "name":
-                break
-            self._next()
-            try:
-                g = self.pres.gen_index[val]
-            except KeyError:
-                raise PresentationError("unknown symbol %r" % val, self.line, col + 1) from None
-            power = 1
-            kind2, val2, col2 = self._peek()
-            if kind2 == "op" and val2 == "^":
-                self._next()
-                kind3, val3, col3 = self._peek()
-                if kind3 != "int":
-                    raise PresentationError("expected integer exponent", self.line, col3 + 1)
-                self._next()
-                power = int(val3)
-            expo[g] += power
-            saw_gen = True
-            kind, val, col = self._peek()
-            if kind == "op" and val == "*":
-                self._next()
-        if not saw_gen and coeff == 1:
-            kind, val, col = self._peek()
-            raise PresentationError("expected a term", self.line, col + 1)
-        return coeff, expo
+def _read(scope, text, line=None, offset=0):
+    """The term dict of ``text`` over ``scope``.  A syntax error becomes a
+    PresentationError at ``line``, its column counted from ``offset``, where
+    the text starts in that line."""
+    ring, symbols = scope
+    try:
+        # a copy: a bare name evaluates to the shared generator itself
+        return dict(parse_expression(text, symbols, ring.const).terms)
+    except ExpressionError as exc:
+        raise PresentationError(str(exc), line, offset + exc.column) from None
 
 
 class E2Presentation:
@@ -180,6 +105,7 @@ class E2Presentation:
         self.prime = prime
         self.generators = generators
         self.gen_index = {g.name: i for i, g in enumerate(generators)}
+        self._scope = _expression_scope(generators)
         self.invertible = tuple(g.invertible for g in generators)
         self.rules = [r for r in rules if not r.is_torsion]
         self.torsion_rules = [r for r in rules if r.is_torsion]
@@ -200,16 +126,14 @@ class E2Presentation:
         generators = []
         rules = []
         seeds = []
-        pres = cls.__new__(cls)
-        pres.generators = generators
-        pres.gen_index = {}
+        scope = None  # fixed at the first rule, once every generator is declared
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.split("#", 1)[0].rstrip()
+            m = _HEAD.match(line)
+            if not m:
                 continue
-            fields = line.split(None, 1)
-            head = fields[0]
-            rest = fields[1] if len(fields) > 1 else ""
+            head, start = m.group(1), m.end()
+            rest = line[start:]
             if head == "prime":
                 try:
                     prime = int(rest)
@@ -218,30 +142,32 @@ class E2Presentation:
                 if prime not in (2, 3):
                     raise PresentationError("unsupported prime %d" % prime, lineno)
             elif head == "gen":
-                generators.append(cls._parse_gen(rest, lineno))
-                pres.gen_index[generators[-1].name] = len(generators) - 1
+                if scope is not None:
+                    raise PresentationError(
+                        "gen after the first rel or d line; declare every generator first", lineno)
+                gen = cls._parse_gen(rest, lineno)
+                if any(g.name == gen.name for g in generators):
+                    raise PresentationError("duplicate generator %r" % gen.name, lineno)
+                generators.append(gen)
             elif head == "rel":
-                lhs_text, rhs_text = cls._split_arrow(rest, lineno)
-                coeff, lhs = cls._parse_lhs(pres, lhs_text, lineno)
-                rhs = _ExprParser(pres, rhs_text, lineno).parse_polynomial() if rhs_text != "0" else {}
-                rules.append(RewriteRule(coeff, lhs, rhs, line))
+                scope = scope or _expression_scope(generators)
+                coeff, lhs, rhs = cls._parse_rule(scope, line, start, len(line), lineno)
+                rules.append(RewriteRule(coeff, lhs, rhs, line.strip()))
             elif head == "d":
-                m = re.match(r"(\d+)\s+(.*)$", rest)
+                scope = scope or _expression_scope(generators)
+                m = _PAGE.match(line, start)
                 if not m:
                     raise PresentationError("differential needs a page number", lineno)
-                page = int(m.group(1))
-                body = m.group(2)
                 transfer = None
-                tm = re.search(r"\btransfer=(\w+)\s*$", body)
+                end = len(line)
+                tm = _TRANSFER.search(line, m.end())
                 if tm:
                     transfer = tm.group(1)
                     if transfer != "quarter":
                         raise PresentationError("unknown transfer rule %r" % transfer, lineno)
-                    body = body[: tm.start()]
-                lhs_text, rhs_text = cls._split_arrow(body, lineno)
-                coeff, source = cls._parse_lhs(pres, lhs_text, lineno)
-                target = _ExprParser(pres, rhs_text, lineno).parse_polynomial() if rhs_text != "0" else {}
-                seeds.append(DifferentialSeed(page, coeff, source, target, transfer))
+                    end = tm.start()
+                coeff, source, target = cls._parse_rule(scope, line, m.end(), end, lineno)
+                seeds.append(DifferentialSeed(int(m.group(1)), coeff, source, target, transfer))
             else:
                 raise PresentationError("unknown directive %r" % head, lineno)
         if prime is None:
@@ -251,14 +177,21 @@ class E2Presentation:
         return cls(prime, generators, rules, seeds)
 
     @staticmethod
-    def _split_arrow(text, lineno):
-        if "->" not in text:
+    def _parse_rule(scope, line, start, end, lineno):
+        """The left side of ``line[start:end]`` as (coefficient, monomial),
+        and the right side's term dict."""
+        arrow = line.find("->", start, end)
+        if arrow < 0:
             raise PresentationError("missing '->'", lineno)
-        lhs, rhs = text.split("->", 1)
-        lhs, rhs = lhs.strip(), rhs.strip()
-        if not lhs or not rhs:
-            raise PresentationError("empty side of '->'", lineno)
-        return lhs, rhs
+        terms = _read(scope, line[start:arrow], lineno, start)
+        if len(terms) != 1:
+            raise PresentationError("left side must be a single monomial", lineno)
+        (mono, coeff), = terms.items()
+        if coeff < 1:
+            raise PresentationError("left-side coefficient must be positive", lineno)
+        if not any(mono):
+            raise PresentationError("left side must involve a generator", lineno)
+        return coeff, mono, _read(scope, line[arrow + 2:end], lineno, arrow + 2)
 
     @staticmethod
     def _parse_gen(rest, lineno):
@@ -290,18 +223,6 @@ class E2Presentation:
         if stem is None or filt is None:
             raise PresentationError("generator %s needs stem= and filt=" % name, lineno)
         return Generator(name, stem, filt, order, invertible)
-
-    @classmethod
-    def _parse_lhs(cls, pres, text, lineno):
-        terms = _ExprParser(pres, text, lineno).parse_polynomial()
-        if len(terms) != 1:
-            raise PresentationError("left side must be a single monomial", lineno)
-        (mono, coeff), = terms.items()
-        if coeff < 1:
-            raise PresentationError("left-side coefficient must be positive", lineno)
-        if not any(mono):
-            raise PresentationError("left side must involve a generator", lineno)
-        return coeff, mono
 
     @classmethod
     def builtin(cls, name):
@@ -357,7 +278,7 @@ class E2Presentation:
 
     def expression(self, text):
         """Parse an integer polynomial in the generators (test/CLI convenience)."""
-        return _ExprParser(self, text, None).parse_polynomial()
+        return _read(self._scope, text)
 
     def monomial(self, **powers):
         expo = [0] * len(self.generators)

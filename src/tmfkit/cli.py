@@ -13,7 +13,7 @@ broke: a bug in tmfkit, not in the input).
 import argparse
 import sys
 
-from .exactalg import InternalError
+from .exactalg import ExpressionError, InternalError, parse_expression
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,113 +51,15 @@ class CliParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# ---------------------------------------------------------------------------
-# form-expression grammar: integer-coefficient polynomials in c4, c6, Delta
-# expr := term (('+'|'-') term)* ; term := factor ('*' factor)* ;
-# factor := atom ('^' INT)? ; atom := INT | c4 | c6 | Delta | '(' expr ')' | '-' factor
-
-
-class FormParser:
-    def __init__(self, text):
-        self.tokens = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("int", int(text[i:j])))
-                i = j
-            elif ch.isalpha():
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", text[i:j]))
-                i = j
-            elif ch in "+-*^()":
-                self.tokens.append(("op", ch))
-                i += 1
-            else:
-                raise UsageError("unexpected character %r in form expression" % ch)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        value = self.expr()
-        if self.peek()[0] is not None:
-            raise UsageError("trailing input in form expression")
-        return value
-
-    def expr(self):
-        value = self.term()
-        while True:
-            kind, op = self.peek()
-            if kind == "op" and op in "+-":
-                self.next()
-                rhs = self.term()
-                value = value + rhs if op == "+" else value - rhs
-            else:
-                return value
-
-    def term(self):
-        value = self.factor()
-        while True:
-            kind, op = self.peek()
-            if kind == "op" and op == "*":
-                self.next()
-                value = value * self.factor()
-            else:
-                return value
-
-    def factor(self):
-        kind, val = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return -self.factor()
-        value = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind, n = self.next()
-            if kind != "int":
-                raise UsageError("expected an integer exponent")
-            return value ** n
-        return value
-
-    def atom(self):
-        from . import modforms
-
-        kind, val = self.next()
-        if kind == "int":
-            return modforms.MFPolynomial({(0, 0, 0): val})
-        if kind == "name":
-            try:
-                return {"c4": modforms.C4, "c6": modforms.C6, "Delta": modforms.DELTA}[val]
-            except KeyError:
-                raise UsageError("unknown symbol %r (expected c4, c6, Delta)" % val) from None
-        if kind == "op" and val == "(":
-            value = self.expr()
-            kind, val = self.next()
-            if not (kind == "op" and val == ")"):
-                raise UsageError("missing closing parenthesis")
-            return value
-        raise UsageError("expected a form expression atom")
-
-
 def parse_form(text):
-    from .modforms import HomogeneityError
+    """An integer form in c4, c6 and Delta, read by ``parse_expression``."""
+    from .modforms import C4, C6, DELTA, HomogeneityError, MFPolynomial
 
-    form = FormParser(text).parse()
+    try:
+        form = parse_expression(text, {"c4": C4, "c6": C6, "Delta": DELTA},
+                                lambda n: MFPolynomial.monomial(0, 0, 0, n))
+    except ExpressionError as exc:
+        raise UsageError("form expression, column %d: %s" % (exc.column, exc)) from None
     if not form.is_homogeneous() or (form.weight is None and form.terms):
         raise HomogeneityError("form expression mixes weights: %s" % form)
     return form

@@ -431,11 +431,6 @@ def formal_log(curve, prec, w=None):
     return _on_ring(omega, _rational_ring(curve.ring)).integrate()
 
 
-def formal_exp(curve, prec):
-    """Reversion of the formal logarithm."""
-    return formal_log(curve, prec - 1).reversion()
-
-
 def _to_integral(series, ring):
     try:
         return _on_ring(series, ring)

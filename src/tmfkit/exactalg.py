@@ -435,6 +435,102 @@ def format_terms(names, terms, sep="*"):
     return out
 
 
+class ExpressionError(ValueError):
+    """Malformed expression text; ``column`` counts from 1."""
+
+    def __init__(self, message, column):
+        super().__init__(message)
+        self.column = column
+
+
+_EXPR_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>\S))")
+
+
+def parse_expression(text, symbols, const):
+    """The value of a polynomial written as text, such as ``format_terms``
+    prints, computed with the operators of the caller's values.
+
+    ``symbols`` maps each name to its value and ``const`` turns an integer
+    into one.  Juxtaposition multiplies::
+
+        expr   := ['+' | '-'] term (('+' | '-') term)*
+        term   := factor (['*'] factor)*
+        factor := '-' factor | atom ['^' INT]
+        atom   := INT | NAME | '(' expr ')'
+    """
+    tokens = [(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup) + 1)
+              for m in _EXPR_TOKEN.finditer(text)]
+    tokens.append((None, "end of input", len(text) + 1))
+    pos = 0
+
+    def fail(expected):
+        kind, val, col = tokens[pos]
+        raise ExpressionError("expected %s, found %s" % (expected, val if kind is None else repr(val)), col)
+
+    def take(*ops):
+        nonlocal pos
+        kind, val, _ = tokens[pos]
+        if kind == "op" and val in ops:
+            pos += 1
+            return val
+        return None
+
+    def expr():
+        sign = take("+", "-")
+        value = term()
+        if sign == "-":
+            value = -value
+        while True:
+            op = take("+", "-")
+            if op is None:
+                return value
+            value = value + term() if op == "+" else value - term()
+
+    def term():
+        value = factor()
+        # a number, a name or "(" right after a factor multiplies it
+        while take("*") or tokens[pos][0] in ("int", "name") or tokens[pos][1] == "(":
+            value = value * factor()
+        return value
+
+    def factor():
+        nonlocal pos
+        if take("-"):
+            return -factor()
+        value = atom()
+        if take("^"):
+            kind, val, _ = tokens[pos]
+            if kind != "int":
+                fail("an integer exponent")
+            pos += 1
+            value = value ** int(val)
+        return value
+
+    def atom():
+        nonlocal pos
+        kind, val, col = tokens[pos]
+        if kind == "int":
+            pos += 1
+            return const(int(val))
+        if kind == "name":
+            if val not in symbols:
+                raise ExpressionError(
+                    "unknown symbol %r (expected one of %s)" % (val, ", ".join(symbols)), col)
+            pos += 1
+            return symbols[val]
+        if not take("("):
+            fail("a number, a name or '('")
+        value = expr()
+        if not take(")"):
+            fail("')'")
+        return value
+
+    value = expr()
+    if tokens[pos][0] is not None:
+        fail("an operator or the end of input")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # scalar coefficient domains
 
@@ -739,14 +835,6 @@ class MPoly:
             if not any(exp):
                 return c
         return None
-
-    def constant_coefficient(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.base.zero)
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), self.ring.base.zero)

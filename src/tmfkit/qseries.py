@@ -88,9 +88,6 @@ class QExpansion:
             return 0
         return self.coeffs[n - self.val]
 
-    def known_range(self):
-        return self.val, self.prec
-
     def truncate(self, prec):
         prec = min(self.prec, prec)
         return QExpansion(self.val, self.coeffs[: max(prec - self.val, 0)], prec)

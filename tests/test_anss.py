@@ -101,6 +101,58 @@ def test_parse_syntax_error_carries_location():
     assert "line 3" in str(err.value)
 
 
+def test_parse_error_columns_count_from_the_start_of_the_line():
+    for line, column in (("rel a^2 -> zeta", 12), ("  rel a^2 -> zeta", 14), ("rel a^ -> 0", 8)):
+        with pytest.raises(PresentationError) as err:
+            E2Presentation.parse("prime 3\ngen a stem=3 filt=1 order=3\n" + line + "\n")
+        assert (err.value.line, err.value.column) == (3, column)
+        assert str(err.value).startswith("line 3, column %d: " % column)
+
+
+def test_parse_rejects_a_generator_after_the_first_rule():
+    # accepted before, and the rules read before the late gen kept shorter
+    # exponent vectors: normal_form(pres, "a b") gave c^2 instead of c^2 b
+    gens = "gen a stem=2 filt=0 order=inf\ngen c stem=1 filt=0 order=inf\n"
+    late = "gen b stem=5 filt=0 order=inf\n"
+    for rule in ("rel a -> c^2\n", "d 3 a -> 0\n"):
+        with pytest.raises(PresentationError, match="^line 5: gen after the first rel or d line"):
+            E2Presentation.parse("prime 3\n" + gens + rule + late)
+    pres = E2Presentation.parse("prime 3\n" + gens + late + "rel a -> c^2\n")
+    assert normal_form(pres, "a b").term_dict() == {pres.monomial(c=2, b=1): 1}
+
+
+def test_parse_rejects_a_duplicate_generator():
+    text = "prime 3\ngen a stem=3 filt=1 order=3\ngen a stem=4 filt=1 order=3\n"
+    with pytest.raises(PresentationError) as err:
+        E2Presentation.parse(text)
+    assert err.value.line == 3 and "duplicate generator 'a'" in str(err.value)
+
+
+def shipped_p3_text():
+    return (Path(anss.__file__).with_name("presentations") / "tmf_p3.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("written", [
+    "rel (c6)^2 -> (c4 c4)c4 - 1728 (Delta)",  # parentheses
+    "rel c6^2 -> -1728 Delta - -c4^3",  # unary minus
+])
+def test_presentations_accept_parentheses_and_unary_minus(written):
+    # both were rejected before the two parsers merged
+    text = shipped_p3_text()
+    assert "rel c6^2 -> c4^3 - 1728 Delta\n" in text
+    got = E2Presentation.parse(text.replace("rel c6^2 -> c4^3 - 1728 Delta\n", written + "\n"))
+    assert [(r.coeff, r.lhs, r.rhs) for r in got.rules] == [(r.coeff, r.lhs, r.rhs) for r in p3().rules]
+
+
+def test_presentations_reject_a_trailing_star():
+    # accepted before the two parsers merged
+    text = shipped_p3_text()
+    assert "rel alpha^2 -> 0\n" in text
+    with pytest.raises(PresentationError) as err:
+        E2Presentation.parse(text.replace("rel alpha^2 -> 0\n", "rel alpha^2* -> 0\n"))
+    assert "expected a number, a name or '('" in str(err.value)
+
+
 def test_normal_form_spot_checks():
     pres3, pres2 = p3(), p2()
     assert normal_form(pres3, "alpha^2").is_zero()
@@ -231,6 +283,14 @@ def test_rewriting_confluence_sampling():
             b = normal_form(pres, dict(expr), rng=random.Random(rng.randrange(1 << 30)))
             c = normal_form(pres, dict(expr))
             assert a == b == c
+
+
+def test_format_class_round_trip():
+    rng = random.Random(67)
+    for pres in (p3(), p2()):
+        for _ in range(300):
+            t = normal_form(pres, random_homogeneous(pres, rng)).term_dict()
+            assert pres.expression(pres.format_class(t)) == t
 
 
 def test_expression_parser_round_trip():

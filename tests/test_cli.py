@@ -1,9 +1,15 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmfkit import anss, cli, elliptic, modforms, moonshine, qseries
-from tmfkit.exactalg import ExactnessError, InternalError, MPoly, PrecisionError
+from tmfkit.exactalg import (
+    ExactnessError, ExpressionError, InternalError, MPoly, PrecisionError, parse_expression,
+)
 from tmfkit.modforms import MFPolynomial
 from tmfkit.moonshine import JPolynomial
 from tmfkit.qseries import QExpansion
@@ -69,6 +75,35 @@ def test_tmf_member_error_classes(capsys):
     assert code == 2 and "computation error" in err
     code, _, err = run(capsys, "tmf-member", "q5")
     assert code == 1
+
+
+def test_tmf_member_reads_the_shared_grammar(capsys):
+    # juxtaposition multiplies, and a leading "+" is accepted
+    want = run(capsys, "tmf-member", "c4^3 - 744*Delta")
+    assert want[0] == 0
+    assert run(capsys, "tmf-member", "c4 c4^2 - 744 Delta") == want
+    assert run(capsys, "tmf-member", "+c4^3 - 744*Delta") == want
+    assert run(capsys, "tmf-member", "c4 c6")[0] == 3
+
+
+_WORDS = ("c4", "c6", "Delta", "x", "0", "2", "24", "+", "-", "*", "^", "(", ")", "/", ".")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_WORDS), max_size=7), st.sampled_from(("", " ")))
+def test_every_expression_error_exits_one(words, sep):
+    text = sep.join(words)
+    symbols = {"c4": modforms.C4, "c6": modforms.C6, "Delta": modforms.DELTA}
+    try:
+        parse_expression(text, symbols, lambda n: MFPolynomial.monomial(0, 0, 0, n))
+        malformed = False
+    except ExpressionError:
+        malformed = True
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(["tmf-member", "--", text])
+    assert (code == 1) == malformed, text
+    assert err.getvalue().startswith("usage error: form expression, column") == malformed, text
 
 
 def test_witten_command(capsys):
