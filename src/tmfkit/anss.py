@@ -210,16 +210,25 @@ class E2Presentation:
             if "=" not in item:
                 raise PresentationError("bad generator attribute %r" % item, lineno)
             key, value = item.split("=", 1)
-            if key == "stem":
-                stem = int(value)
-            elif key == "filt":
-                filt = int(value)
-            elif key == "order":
-                order = None if value == "inf" else int(value)
-                if order is not None and order < 2:
-                    raise PresentationError("finite order must be >= 2", lineno)
-            else:
+            if key not in ("stem", "filt", "order"):
                 raise PresentationError("unknown generator attribute %r" % key, lineno)
+            if key == "order" and value == "inf":
+                order = None
+                continue
+            try:
+                number = int(value)
+            except ValueError:
+                raise PresentationError(
+                    "generator attribute %s=%r is not an integer" % (key, value), lineno
+                ) from None
+            if key == "stem":
+                stem = number
+            elif key == "filt":
+                filt = number
+            elif number < 2:
+                raise PresentationError("finite order must be >= 2", lineno)
+            else:
+                order = number
         if stem is None or filt is None:
             raise PresentationError("generator %s needs stem= and filt=" % name, lineno)
         return Generator(name, stem, filt, order, invertible)

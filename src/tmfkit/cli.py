@@ -36,9 +36,10 @@ DEFAULT_PRECISION = 50
 # Degree 40 now costs about what degree 30 did; raising the cap would also
 # change the default output, so it stays at 30.
 FGL_MAX_DEGREE = 30
-# largest genfun-check N: N = 250 takes about 8 s as a subprocess on a 2-vCPU
-# VM (median of three, 7.4-8.1 s), and the cost (N products and an O(N^3)
-# elimination, both on growing integers) rises faster than N^3 beyond it
+# largest genfun-check N: N = 250 takes about 4.5 s as a subprocess on a
+# 2-vCPU VM (median of three, 4.2-4.7 s), nearly all of it the N - 1 products
+# j^k * j on integers of up to 2,700 bits; the forward substitution for the
+# constants is O(N^2) and takes about 0.05 s of it
 GENFUN_MAX_N = 250
 
 

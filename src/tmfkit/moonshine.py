@@ -124,11 +124,10 @@ def faber_jn(n, N):
         raise PrecisionError("precision %d cannot certify the O(q) tail" % (N,))
     if n == 0:
         return JPolynomial([1]), QExpansion.one(N)
-    pad = N + n + 1  # each extra power of j costs one exponent of precision
-    j = qseries.j_qexp(pad)
-    jpow = [QExpansion.one(pad)]
-    for _ in range(n):
-        jpow.append(jpow[-1] * j)
+    # j^n first: it builds j^2 .. j^n (to N + 1 + n - k) in one upward loop,
+    # so the lower powers are truncations of cached entries
+    qseries.j_power(n, N + 1)
+    jpow = [QExpansion.one(N + 1)] + [qseries.j_power(k, N + 1) for k in range(1, n + 1)]
     poly = [0] * (n + 1)
     poly[n] = 1
     r = jpow[n]
@@ -176,27 +175,21 @@ class GenfunReport:
         }
 
 
-def faber_constants(j, N):
-    """j_n(omega) for 1 <= n <= N in one sweep: the same greedy elimination as
-    ``faber_jn``, run on the principal parts (q^-k .. q^0) of j^0 .. j^N, which
-    come from the expansion ``j`` of j (to precision N + 1) and N products."""
-    # parts[k][i] is the coefficient of q^(i - k) in j^k; j^k is known through
-    # q^(N + 1 - k), so every principal part up to k = N is exact
-    parts = [[1]]
-    jk = j
+def faber_constants(N):
+    """j_n(omega) for 1 <= n <= N in one sweep.
+
+    j_n = sum_k a[n][k] j^k has principal part q^-n + O(q), so the matrix a is
+    the inverse of the unitriangular P[k][m] = [q^-m] j^k (0 <= m <= k <= N),
+    and j_n(omega) = a[n][0] is column 0 of that inverse: x_0 = 1 and
+    x_k = -sum_(m<k) P[k][m] x_m, one forward substitution on the principal
+    parts of j^1 .. j^N.
+    """
+    qseries.j_power(N, 1)  # builds j^2 .. j^N in one upward loop
+    x = [1]
     for k in range(1, N + 1):
-        if k > 1:
-            jk = jk * j
-        parts.append([jk.coeff(e) for e in range(-k, 1)])
-    consts = []
-    for n in range(1, N + 1):
-        r = list(parts[n])
-        for e in range(n - 1, 0, -1):
-            c = r[n - e]
-            if c:
-                r[n - e:] = [y - c * x for y, x in zip(r[n - e:], parts[e])]
-        consts.append(-r[n])  # the last step subtracts r[n] * j^0
-    return consts
+        jk = qseries.j_power(k, 1)
+        x.append(-sum(jk.coeff(-m) * x[m] for m in range(k)))
+    return x[1:]
 
 
 def genfun_check(N):
@@ -212,7 +205,7 @@ def genfun_check(N):
     j = qseries.j_qexp(N + 1)
     rhs = (-j.theta()).exact_div(j)
     series_match = lhs.agrees_with(rhs, N + 1)
-    consts = faber_constants(j, N)
+    consts = faber_constants(N)
     sign = 1 if lhs.coeff(1) == consts[0] else -1
     report = GenfunReport(N, series_match, sign)
     for n, value in enumerate(consts, 1):

@@ -243,9 +243,10 @@ def sigma(k, n):
     return total
 
 
-# The longest expansion of c4, c6, Delta (Eisenstein route) and j computed so
-# far, by name.  Requests at or below an entry's precision get a fresh
-# truncation of it; a longer request replaces the entry.
+# The longest expansion of c4, c6, Delta (Eisenstein route), j and each power
+# j^k (k >= 2, under "j^k") computed so far, by name.  Requests at or below an
+# entry's precision get a fresh truncation of it; a longer request replaces
+# the entry.
 _EXPANSION_CACHE = {}
 
 
@@ -331,3 +332,32 @@ def j_qexp(N):
         return c4_cubed.exact_div(delta)  # precision N
 
     return _cached("j", N, build)
+
+
+def j_power(k, N):
+    """j^k (valuation -k) to precision N, for k >= 1.
+
+    Each factor j costs one exponent, so j^k to precision N needs j^m to
+    N + k - m and j to N + k - 1.  A request the cache cannot serve starts
+    from the highest cached power that reaches its precision (or from j) and
+    multiplies by j upward to j^k, one product per power, keeping each power
+    it passes at the precision it was computed to.
+    """
+    if k < 1:
+        raise ValueError("power of j must be >= 1, got %r" % (k,))
+    if N < 1:
+        raise ValueError("precision must be >= 1")
+    if k == 1:
+        return j_qexp(N)
+    entry = _EXPANSION_CACHE.get("j^%d" % k)
+    if entry is None or entry.prec < N:
+        j = j_qexp(N + k - 1)
+        entry, m = j, 1
+        for i in range(k - 1, 1, -1):
+            base = _EXPANSION_CACHE.get("j^%d" % i)
+            if base is not None and base.prec >= N + k - i:
+                entry, m = base, i
+                break
+        for i in range(m + 1, k + 1):
+            entry = _EXPANSION_CACHE["j^%d" % i] = entry * j
+    return entry.truncate(N)

@@ -95,6 +95,19 @@ def test_parse_rejects_bad_seed_bidegree():
         E2Presentation.parse(text)
 
 
+@pytest.mark.parametrize("attrs, bad", [
+    ("stem=x filt=1 order=3", "stem='x'"),
+    ("stem=3 filt=1.5 order=3", "filt='1.5'"),
+    ("stem=3 filt=1 order=infinite", "order='infinite'"),
+])
+def test_parse_rejects_a_non_integer_generator_attribute(attrs, bad):
+    text = "prime 3\ngen b stem=4 filt=0 order=inf\ngen a " + attrs + "\n"
+    with pytest.raises(PresentationError) as err:
+        E2Presentation.parse(text)
+    assert err.value.line == 3
+    assert str(err.value) == "line 3: generator attribute %s is not an integer" % bad
+
+
 def test_parse_syntax_error_carries_location():
     with pytest.raises(PresentationError) as err:
         E2Presentation.parse("prime 3\ngen a stem=3 filt=1 order=3\nrel a^2 0\n")

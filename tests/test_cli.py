@@ -331,6 +331,11 @@ def test_anss_presentation_override(tmp_path, capsys):
     code, _, err = run(capsys, "anss-survivors", "p3", "2", "--presentation", str(broken))
     assert code == 2 and err.startswith("computation error: line 3")
 
+    broken.write_text("prime 3\ngen a stem=x filt=1 order=3\n")
+    code, _, err = run(capsys, "anss-survivors", "p3", "2", "--presentation", str(broken))
+    assert code == 2
+    assert err == "computation error: line 2: generator attribute stem='x' is not an integer\n"
+
 
 def test_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 1

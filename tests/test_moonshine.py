@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from tmfkit import moonshine, qseries
@@ -138,7 +140,62 @@ def reference_genfun(N):
 
 
 def test_faber_constants_sweep_matches_per_n_elimination():
-    assert faber_constants(qseries.j_qexp(41), 40) == [jn_at_omega(n) for n in range(1, 41)]
+    cache = qseries._EXPANSION_CACHE
+    want = []
+    for n in range(1, 41):
+        cache.clear()
+        want.append(jn_at_omega(n))  # a greedy elimination on a cold cache
+    cache.clear()
+    assert faber_constants(40) == want
+    # warm caches left by larger eliminations: powers longer than the sweep
+    # needs (j^2 .. j^50), and powers the sweep extends upward (from j^20)
+    for n, N in ((50, 30), (20, 60)):
+        cache.clear()
+        faber_jn(n, N)
+        assert faber_constants(40) == want
+
+
+def count_products(monkeypatch):
+    """The list that records each series product (``mul_coeffs`` call) of qseries."""
+    calls = []
+    mul = qseries.mul_coeffs
+    monkeypatch.setattr(qseries, "mul_coeffs", lambda *args: calls.append(1) or mul(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n, N", [(1, 10), (6, 50), (30, 100)])
+def test_faber_jn_makes_one_product_per_power(monkeypatch, n, N):
+    calls = count_products(monkeypatch)
+    qseries.j_qexp(N + n + 1)
+    j_products = len(calls)  # what a cold j_qexp makes
+    qseries._EXPANSION_CACHE.clear()
+    del calls[:]
+    first = faber_jn(n, N)
+    assert len(calls) <= j_products + n
+    del calls[:]
+    assert faber_jn(n, N) == first
+    assert not calls
+
+
+def test_faber_constants_makes_one_product_per_power(monkeypatch):
+    """At the genfun-check cap, and under a recursion limit that a power-by-
+    power recursion (at least one frame per power) would exceed."""
+    N = 250
+    qseries.j_qexp(N + 1)  # as genfun_check asks for j
+    calls = count_products(monkeypatch)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        first = faber_constants(N)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(calls) <= N
+    del calls[:]
+    assert faber_constants(N) == first
+    assert not calls
 
 
 @pytest.mark.parametrize("N", [1, 2, 15, 40])

@@ -151,14 +151,50 @@ def test_cold_j_qexp_forms_c4_cubed_once(monkeypatch):
     assert len(calls) == 3  # served from the cache
 
 
-# the cached requests by the cache key they read, and the uncached eta route
+def test_j_power_matches_square_and_multiply():
+    for k, N in ((1, 9), (2, 30), (3, 1), (7, 25), (16, 40)):
+        got = qseries.j_power(k, N)
+        assert got.val == -k and got.prec == N
+        assert got == (qseries.j_qexp(N + k - 1) ** k).truncate(N)
+
+
+def test_j_power_rejects_bad_arguments():
+    for k, N in ((0, 5), (-1, 5), (3, 0)):
+        with pytest.raises(ValueError):
+            qseries.j_power(k, N)
+
+
+def test_j_power_starts_from_the_highest_power_that_reaches_far_enough(monkeypatch):
+    qseries.j_qexp(80)
+    calls = []
+    mul = qseries.mul_coeffs
+    monkeypatch.setattr(qseries, "mul_coeffs", lambda *args: calls.append(1) or mul(*args))
+    qseries.j_power(10, 40)  # j^2 .. j^10 to 40 + 10 - k
+    assert len(calls) == 9
+    qseries.j_power(14, 36)  # needs j^10 to 40, which it has: four products
+    assert len(calls) == 13
+    qseries.j_power(14, 37)  # needs j^m to 51 - m, which none has: rebuilds from j
+    assert len(calls) == 26
+    assert [qseries._EXPANSION_CACHE["j^%d" % k].prec for k in (2, 10, 13, 14)] == [49, 41, 38, 37]
+
+
+# the requests by name ("j^k" is j_power, the others ignore k), and the key
+# each reads in the cache; eta is the uncached route
 CACHE_CALLS = {
-    "c4": lambda N: qseries.eisenstein(4, N),
-    "c6": lambda N: qseries.eisenstein(6, N),
-    "delta": qseries.discriminant_qexp,
-    "j": qseries.j_qexp,
-    "eta": qseries.discriminant_eta_product,
+    "c4": lambda N, k: qseries.eisenstein(4, N),
+    "c6": lambda N, k: qseries.eisenstein(6, N),
+    "delta": lambda N, k: qseries.discriminant_qexp(N),
+    "j": lambda N, k: qseries.j_qexp(N),
+    "j^k": lambda N, k: qseries.j_power(k, N),
+    "eta": lambda N, k: qseries.discriminant_eta_product(N),
 }
+CACHE_KEYS = {"c4", "c6", "delta", "j"} | {"j^%d" % k for k in range(2, 41)}
+
+
+def cache_key(name, k):
+    if name != "j^k":
+        return name
+    return "j" if k == 1 else "j^%d" % k
 
 
 def test_expansion_cache_serves_what_a_cold_call_computes(monkeypatch):
@@ -168,29 +204,31 @@ def test_expansion_cache_serves_what_a_cold_call_computes(monkeypatch):
     monkeypatch.setattr(qseries, "euler_product", lambda N: euler_calls.append(N) or euler(N))
 
     @settings(derandomize=True, max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(sorted(CACHE_CALLS)), st.integers(1, 120)),
+    @given(st.lists(st.tuples(st.sampled_from(sorted(CACHE_CALLS)), st.integers(1, 120),
+                              st.integers(1, 40)),
                     min_size=1, max_size=12))
     def check(steps):
         cache.clear()
-        for name, N in steps:
+        for name, N, k in steps:
             call = CACHE_CALLS[name]
-            entry = cache.get(name)
+            key = cache_key(name, k)
+            entry = cache.get(key)
             before = len(euler_calls)
-            got = call(N)
+            got = call(N, k)
             if name == "eta":
                 assert len(euler_calls) == before + (N > 1)  # computed every time
             else:
-                assert cache[name].prec >= N
+                assert cache[key].prec >= N
                 if entry is not None and entry.prec >= N:
-                    assert cache[name] is entry  # no rebuild below the entry's precision
-            assert set(cache) <= {"c4", "c6", "delta", "j"}
+                    assert cache[key] is entry  # no rebuild below the entry's precision
+            assert set(cache) <= CACHE_KEYS
             warm = dict(cache)
             cache.clear()
-            cold = call(N)
+            cold = call(N, k)
             cache.clear()
             cache.update(warm)
             assert got == cold
             got.coeffs.insert(0, 7)  # a caller's edit stays its own
-            assert call(N) == cold
+            assert call(N, k) == cold
 
     check()
